@@ -19,7 +19,6 @@ from .errors import (
 from .graphs import (
     Coloring,
     Graph,
-    Rational,
     degeneracy_ordering,
     is_proper,
     mad_brute,
@@ -32,12 +31,10 @@ from .graphs import (
 from .layering import (
     DegreePartition,
     EmbeddedOrdering,
-    LayeredSubgraphRef,
     SpecialISParams,
     build_degree_partition,
     degree_partition_from_degeneracy,
     embedded_ordering,
-    later_layer_degree,
     partition_round_bound,
     serialize_partition,
     special_independent_set,
@@ -79,9 +76,7 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "ImproperInput",
-    "LayeredSubgraphRef",
     "PaletteTooSmall",
-    "Rational",
     "RecolorStats",
     "RecoloringSequence",
     "RecoloringStep",
@@ -106,7 +101,6 @@ __all__ = [
     "exact_diameter",
     "greedy_promote",
     "is_proper",
-    "later_layer_degree",
     "mad_brute",
     "mad_exact",
     "parse_coloring",

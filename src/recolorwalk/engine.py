@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ImproperInput, PaletteTooSmall, SequenceViolation
-from .graphs import Coloring, Graph, is_proper
+from .graphs import Coloring, Graph, check_coloring
 from .layering import (
     DegreePartition,
     EmbeddedOrdering,
-    LayeredSubgraphRef,
     SpecialISParams,
     build_degree_partition,
     embedded_ordering,
@@ -133,48 +132,19 @@ def _promote(state: _WalkState, ord_: EmbeddedOrdering, mask: frozenset[int],
     return frozenset(taken)
 
 
-def _active_depth(state: _WalkState, ord_: EmbeddedOrdering, boundary: int,
-                  palette: frozenset[int], mask: frozenset[int]) -> int:
-    # Largest number of later-layer neighbors that could ever hold a palette
-    # color during this call: masked neighbors (they stay inside the
-    # palette) plus unmasked ones currently colored from it.
-    layer_of = ord_.layer_of
-    colors = state.colors
-    best = 0
-    for v in mask:
-        lv = layer_of[v]
-        if lv >= boundary:
-            continue
-        count = 0
-        for w in state.g.adjacency[v]:
-            if layer_of[w] > lv and (w in mask or colors[w] in palette):
-                count += 1
-        if count > best:
-            best = count
-    return best
-
-
-def _claim_depth(g: Graph, ord_: EmbeddedOrdering, u_set: frozenset[int],
-                 w_a: tuple[int, ...]) -> int:
-    # Forward degree within u_set | w_a alone; zero means the direct
-    # recoloring base case is safe (no edges from u into w_a).
-    members = u_set | set(w_a)
-    pos = ord_.position_of
-    best = 0
-    for v in members:
-        count = sum(1 for w in g.adjacency[v] if w in members and pos[w] > pos[v])
-        if count > best:
-            best = count
-    return best
-
-
-def _masked_later_degree_max(g: Graph, ord_: EmbeddedOrdering,
-                             mask: frozenset[int]) -> int:
-    layer_of = ord_.layer_of
+def _later_degree(g: Graph, layer_of: tuple[int, ...], vertices: Iterable[int],
+                  among: frozenset[int] | set[int]) -> int:
+    # Largest number of neighbors in `among` at a strictly later layer, over
+    # `vertices`; -1 when `vertices` is empty. For adjacent vertices a later
+    # layer and a later position coincide.
+    adjacency = g.adjacency
     best = -1
-    for v in mask:
-        count = sum(1 for w in g.adjacency[v]
-                    if w in mask and layer_of[w] > layer_of[v])
+    for v in vertices:
+        lv = layer_of[v]
+        count = 0
+        for w in adjacency[v]:
+            if layer_of[w] > lv and w in among:
+                count += 1
         if count > best:
             best = count
     return best
@@ -191,12 +161,20 @@ def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, boundary: int,
     """
     if boundary <= 0 or not mask:
         return
-    depth = _active_depth(state, ord_, boundary, palette, mask)
+    layer_of = ord_.layer_of
+    colors = state.colors
+    adjacency = state.g.adjacency
+    scope = [v for v in mask if layer_of[v] < boundary]
+    # Neighbors that could ever hold a palette color during this call:
+    # masked ones (they stay inside the palette) plus unmasked ones
+    # currently colored from it.
+    holders = {w for v in scope for w in adjacency[v]
+               if w in mask or colors[w] in palette}
+    depth = max(_later_degree(state.g, layer_of, scope, holders), 0)
     if len(palette) < depth + 2:
         raise PaletteTooSmall(
             f"palette of {len(palette)} colors cannot clear a color at layer "
             f"depth {depth}; at least {depth + 2} colors are needed")
-    layer_of = ord_.layer_of
     while True:
         h = None
         for v in mask:
@@ -238,6 +216,7 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
     direct recoloring alone is already proper.
     """
     g = state.g
+    layer_of = ord_.layer_of
     pos = ord_.position_of
     assert all(state.colors[v] != target for v in u_set), \
         "earlier layers must be target-free on entry"
@@ -246,7 +225,9 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
         assert all(state.colors[w] != a
                    for w in g.adjacency[v] if pos[w] > pos[v])
     counts_before = {v: state.counts[v] for v in w_a}
-    if depth == 0 or _claim_depth(g, ord_, u_set, w_a) == 0:
+    members = u_set | set(w_a)
+    # No later-layer edge inside u | w_a: the direct recoloring is safe.
+    if depth == 0 or _later_degree(g, layer_of, members, members) <= 0:
         for v in sorted(w_a):
             state.recolor(v, a)
         promoted_first: frozenset[int] = frozenset()
@@ -255,7 +236,7 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
     else:
         promoted_first = _promote(state, ord_, u_set, target)
         inner = u_set - promoted_first
-        inner_later = _masked_later_degree_max(g, ord_, inner)
+        inner_later = _later_degree(g, layer_of, inner, inner)
         assert inner_later < depth, \
             "promotion must strictly reduce the masked layer depth"
         _eliminate(state, ord_, h, a, palette - {target}, inner, trace)
@@ -285,7 +266,7 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
         ))
 
 
-def _between(a_state: _WalkState, b_state: _WalkState, p: DegreePartition,
+def _between(a_state: _WalkState, b_state: _WalkState, t: int,
              ord_: EmbeddedOrdering, mask: frozenset[int],
              palette: frozenset[int], trace: EliminationTrace | None) -> None:
     """Drive both sides to a common coloring of the masked vertices.
@@ -302,14 +283,25 @@ def _between(a_state: _WalkState, b_state: _WalkState, p: DegreePartition,
                 a_state.recolor(v, b_state.colors[v])
         return
     target = max(palette)
-    _eliminate(a_state, ord_, p.t, target, palette, mask, trace)
-    _eliminate(b_state, ord_, p.t, target, palette, mask, trace)
+    _eliminate(a_state, ord_, t, target, palette, mask, trace)
+    _eliminate(b_state, ord_, t, target, palette, mask, trace)
     promoted_a = _promote(a_state, ord_, mask, target)
     promoted_b = _promote(b_state, ord_, mask, target)
     assert promoted_a == promoted_b, \
         "the two promotion sweeps must agree on the shared set"
-    _between(a_state, b_state, p, ord_, mask - promoted_a,
+    _between(a_state, b_state, t, ord_, mask - promoted_a,
              palette - {target}, trace)
+
+
+def _reduce(state: _WalkState, ord_: EmbeddedOrdering, t: int,
+            target_size: int, trace: EliminationTrace | None) -> None:
+    # Eliminate the largest color still held, against the palette of every
+    # color up to it, until at most target_size colors remain. Eliminating j
+    # only introduces colors below j, so a color nobody holds is skipped
+    # where eliminating it would emit nothing.
+    mask = frozenset(range(state.g.n))
+    while (j := max(state.colors)) > target_size:
+        _eliminate(state, ord_, t, j, frozenset(range(1, j + 1)), mask, trace)
 
 
 def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring],
@@ -318,13 +310,7 @@ def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring]
     if problem is not None:
         raise ValueError(f"invalid partition: {problem}")
     for name, c in colorings.items():
-        if len(c.colors) != g.n:
-            raise ValueError(
-                f"{name} has {len(c.colors)} entries for {g.n} vertices")
-        if k is not None and c.k != k:
-            raise ValueError(f"{name} declares palette {c.k}, expected {k}")
-        if not is_proper(g, c):
-            raise ImproperInput(f"{name} is not a proper coloring")
+        check_coloring(g, c, name, k)
 
 
 def greedy_promote(g: Graph, ord_: EmbeddedOrdering, c: Coloring, target: int,
@@ -338,10 +324,7 @@ def greedy_promote(g: Graph, ord_: EmbeddedOrdering, c: Coloring, target: int,
     set is the greedy maximal independent set of the masked subgraph in
     processing order, independent of the coloring.
     """
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
-    if not is_proper(g, c):
-        raise ImproperInput("input coloring is not proper")
+    check_coloring(g, c, "input coloring")
     mask_set = frozenset(mask)
     if any(not 0 <= v < g.n for v in mask_set):
         raise ValueError("mask contains out-of-range vertices")
@@ -350,12 +333,12 @@ def greedy_promote(g: Graph, ord_: EmbeddedOrdering, c: Coloring, target: int,
     return RecoloringSequence(c, tuple(state.steps)), tuple(sorted(taken))
 
 
-def eliminate_color(g: Graph, p: DegreePartition, f: LayeredSubgraphRef,
+def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
                     c: Coloring, target: int, palette: Iterable[int],
                     mask: Iterable[int] | None = None,
                     trace: EliminationTrace | None = None) -> RecoloringSequence:
     """Recolor so `target` disappears from the masked part of the first
-    f.boundary layers, touching nothing outside it.
+    `boundary` layers (a count in 1..p.t), touching nothing outside it.
 
     `palette` must contain `target`, cover every color used on the mask, and
     exceed the masked layer depth by at least 2. Callers passing a partial
@@ -363,8 +346,8 @@ def eliminate_color(g: Graph, p: DegreePartition, f: LayeredSubgraphRef,
     colors outside the palette.
     """
     _checked_inputs(g, p, {"input coloring": c})
-    if not 1 <= f.boundary <= p.t:
-        raise ValueError(f"boundary {f.boundary} outside 1..{p.t}")
+    if not 1 <= boundary <= p.t:
+        raise ValueError(f"boundary {boundary} outside 1..{p.t}")
     palette_set = frozenset(palette)
     if target not in palette_set:
         raise ValueError(f"target color {target} not in the palette")
@@ -377,7 +360,7 @@ def eliminate_color(g: Graph, p: DegreePartition, f: LayeredSubgraphRef,
                 f"vertex {v} holds color {c.colors[v]} outside the palette")
     state = _WalkState(g, c)
     ord_ = embedded_ordering(p)
-    _eliminate(state, ord_, f.boundary, target, palette_set, mask_set, trace)
+    _eliminate(state, ord_, boundary, target, palette_set, mask_set, trace)
     return RecoloringSequence(c, tuple(state.steps))
 
 
@@ -414,7 +397,8 @@ def clear_layer_color(g: Graph, p: DegreePartition, ord_: EmbeddedOrdering,
 def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
                    target_size: int,
                    trace: EliminationTrace | None = None) -> RecoloringSequence:
-    """Eliminate colors k, k-1, ..., target_size+1 from the whole graph.
+    """Eliminate colors k, k-1, ..., target_size+1 from the whole graph,
+    skipping those no vertex holds when their turn comes.
 
     Bridges an arbitrary palette down to the target_size >= s+2 colors the
     walk recursion wants.
@@ -424,10 +408,7 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
         raise PaletteTooSmall(
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, c)
-    ord_ = embedded_ordering(p)
-    mask = frozenset(range(g.n))
-    for j in range(k, target_size, -1):
-        _eliminate(state, ord_, p.t, j, frozenset(range(1, j + 1)), mask, trace)
+    _reduce(state, embedded_ordering(p), p.t, target_size, trace)
     return RecoloringSequence(c, tuple(state.steps))
 
 
@@ -449,12 +430,9 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     ord_ = embedded_ordering(p)
     a_state = _WalkState(g, alpha)
     b_state = _WalkState(g, beta)
-    mask = frozenset(range(g.n))
-    for j in range(k, p.s + 2, -1):
-        palette = frozenset(range(1, j + 1))
-        _eliminate(a_state, ord_, p.t, j, palette, mask, trace)
-        _eliminate(b_state, ord_, p.t, j, palette, mask, trace)
-    _between(a_state, b_state, p, ord_, mask,
+    for state in (a_state, b_state):
+        _reduce(state, ord_, p.t, p.s + 2, trace)
+    _between(a_state, b_state, p.t, ord_, frozenset(range(g.n)),
              frozenset(range(1, p.s + 3)), trace)
     assert a_state.colors == b_state.colors, \
         "both sides must meet at the same coloring"

@@ -18,11 +18,7 @@ from typing import Iterable, Iterator
 
 import networkx as nx
 
-from .errors import GraphFormatError, StateSpaceTooLarge
-
-# Exact rational arithmetic: lowest terms, positive denominator, and
-# comparison by cross-multiplication all come with Fraction.
-Rational = Fraction
+from .errors import GraphFormatError, ImproperInput, StateSpaceTooLarge
 
 _BRUTE_LIMIT = 20
 
@@ -171,6 +167,18 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return all(cols[u] != cols[v] for u, v in g.edges())
 
 
+def check_coloring(g: Graph, c: Coloring, name: str, k: int | None = None) -> None:
+    """Reject a coloring of the wrong length (ValueError), of a palette other
+    than k when k is given (ValueError), or improper (ImproperInput); every
+    message names the coloring."""
+    if len(c.colors) != g.n:
+        raise ValueError(f"{name} has {len(c.colors)} entries for {g.n} vertices")
+    if k is not None and c.k != k:
+        raise ValueError(f"{name} declares palette {c.k}, expected {k}")
+    if not is_proper(g, c):
+        raise ImproperInput(f"{name} is not a proper coloring")
+
+
 def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     """Ordering v_1..v_n where each v_i has at most `degeneracy` earlier neighbors.
 
@@ -193,7 +201,7 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     return tuple(reversed(removal)), degeneracy
 
 
-def mad_brute(g: Graph) -> Rational:
+def mad_brute(g: Graph) -> Fraction:
     """Maximum of 2|E(H)|/|V(H)| by exhaustive subset enumeration (n <= 20).
 
     Independent of the flow-based computation in mad_exact; kept simple on
@@ -241,7 +249,7 @@ def _densest_cut(g: Graph, guess: Fraction) -> tuple[bool, list[int]]:
     return cut_value < g.n * g.m * q, witness
 
 
-def mad_exact(g: Graph) -> Rational:
+def mad_exact(g: Graph) -> Fraction:
     """Exact maximum average degree via binary search over subgraph densities.
 
     Candidate densities are fractions e/v with v <= n, so two distinct

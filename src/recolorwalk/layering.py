@@ -56,15 +56,6 @@ class DegreePartition:
     def t(self) -> int:
         return len(self.layers)
 
-    def layer_index(self) -> tuple[int, ...]:
-        """Vertex -> 0-based layer index (assumes the layers cover 0..n-1)."""
-        n = sum(len(layer) for layer in self.layers)
-        out = [-1] * n
-        for i, layer in enumerate(self.layers):
-            for v in layer:
-                out[v] = i
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class EmbeddedOrdering:
@@ -78,17 +69,6 @@ class EmbeddedOrdering:
     order: tuple[int, ...]
     layer_of: tuple[int, ...]     # vertex -> 0-based layer index
     position_of: tuple[int, ...]  # vertex -> index into `order`
-
-
-@dataclass(frozen=True)
-class LayeredSubgraphRef:
-    """The union of the first `boundary` layers of a partition (1-based count)."""
-
-    boundary: int
-
-    def __post_init__(self):
-        if self.boundary < 1:
-            raise ValueError("boundary must be at least 1")
 
 
 def _greedy_low_degree_is(g: Graph, active: set[int], d: int) -> list[int]:
@@ -214,15 +194,6 @@ def embedded_ordering(p: DegreePartition) -> EmbeddedOrdering:
     for pos, v in enumerate(order):
         position_of[v] = pos
     return EmbeddedOrdering(tuple(order), tuple(layer_of), tuple(position_of))
-
-
-def later_layer_degree(g: Graph, p: DegreePartition, v: int) -> int:
-    """Number of neighbors of v lying in layers strictly after v's layer."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    layer_of = p.layer_index()
-    mine = layer_of[v]
-    return sum(1 for w in g.adjacency[v] if layer_of[w] > mine)
 
 
 def serialize_partition(p: DegreePartition) -> str:

@@ -8,8 +8,8 @@ guarded by a k^n cap (default 10^7).
 
 from __future__ import annotations
 
-from .errors import ImproperInput, StateSpaceTooLarge
-from .graphs import Coloring, Graph, is_proper
+from .errors import StateSpaceTooLarge
+from .graphs import Coloring, Graph, check_coloring
 
 DEFAULT_STATE_CAP = 10 ** 7
 
@@ -39,15 +39,6 @@ def decode_coloring(code: int, n: int, k: int) -> tuple[int, ...]:
         code, digit = divmod(code, k)
         out.append(digit + 1)
     return tuple(out)
-
-
-def _checked_coloring(g: Graph, k: int, c: Coloring, name: str) -> None:
-    if len(c.colors) != g.n:
-        raise ValueError(f"{name} has {len(c.colors)} entries for {g.n} vertices")
-    if c.k != k:
-        raise ValueError(f"{name} declares palette {c.k}, expected {k}")
-    if not is_proper(g, c):
-        raise ImproperInput(f"{name} is not a proper coloring")
 
 
 def count_proper_colorings(g: Graph, k: int, cap: int | None = None) -> int:
@@ -131,8 +122,8 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
     """Exact shortest walk length between two proper colorings, or None
     when they lie in different components."""
     total = _checked_total(g, k, cap)
-    _checked_coloring(g, k, alpha, "alpha")
-    _checked_coloring(g, k, beta, "beta")
+    check_coloring(g, alpha, "alpha", k)
+    check_coloring(g, beta, "beta", k)
     start = encode_coloring(alpha.colors, k)
     goal = encode_coloring(beta.colors, k)
     if start == goal:

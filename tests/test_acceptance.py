@@ -22,7 +22,6 @@ import pytest
 from recolorwalk import (
     Coloring,
     EliminationTrace,
-    LayeredSubgraphRef,
     SpecialISParams,
     bfs_distance,
     build_degree_partition,
@@ -159,7 +158,7 @@ def test_criterion_4_elimination_locality():
         c = families.random_proper_coloring(rng, g, k)
         boundary = rng.randint(1, partition.t)
         target = rng.randint(1, k)
-        seq = eliminate_color(g, partition, LayeredSubgraphRef(boundary), c,
+        seq = eliminate_color(g, partition, boundary, c,
                               target, range(1, k + 1))
         final = verify_sequence(g, c, seq, k)
         stats = sequence_stats(seq)

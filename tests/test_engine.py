@@ -1,15 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import recolorwalk
 from recolorwalk import (
     Coloring,
     DegreePartition,
     EliminationTrace,
     Graph,
     ImproperInput,
-    LayeredSubgraphRef,
     PaletteTooSmall,
     RecoloringSequence,
     RecoloringStep,
@@ -92,32 +93,32 @@ class TestEliminateColor:
     def test_path_trace(self):
         p3 = families.path_graph(3)
         c = Coloring((3, 1, 3), 3)
-        seq = eliminate_color(p3, P3_PARTITION, LayeredSubgraphRef(2), c, 3, {1, 2, 3})
+        seq = eliminate_color(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
         assert steps_as_pairs(seq) == [(0, 2), (2, 2)]
         assert verify_sequence(p3, c, seq, 3).colors == (2, 1, 2)
 
     def test_no_target_means_no_steps(self):
         p3 = families.path_graph(3)
         c = Coloring((1, 2, 1), 3)
-        seq = eliminate_color(p3, P3_PARTITION, LayeredSubgraphRef(2), c, 3, {1, 2, 3})
+        seq = eliminate_color(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
         assert seq.steps == ()
 
     def test_boundary_restricts_the_purge(self):
         p3 = families.path_graph(3)
         c = Coloring((1, 3, 1), 3)  # target only in layer 2
-        seq = eliminate_color(p3, P3_PARTITION, LayeredSubgraphRef(1), c, 3, {1, 2, 3})
+        seq = eliminate_color(p3, P3_PARTITION, 1, c, 3, {1, 2, 3})
         assert seq.steps == ()
 
     def test_palette_too_small(self):
         p3 = families.path_graph(3)
         with pytest.raises(PaletteTooSmall):
-            eliminate_color(p3, P3_PARTITION, LayeredSubgraphRef(2),
+            eliminate_color(p3, P3_PARTITION, 2,
                             Coloring((1, 2, 1), 2), 2, {1, 2})
 
     def test_mask_color_outside_palette(self):
         p3 = families.path_graph(3)
         with pytest.raises(ImproperInput, match="outside the palette"):
-            eliminate_color(p3, P3_PARTITION, LayeredSubgraphRef(2),
+            eliminate_color(p3, P3_PARTITION, 2,
                             Coloring((1, 2, 3), 3), 1, {1, 2})
 
     def test_locality_on_random_layered_boundaries(self):
@@ -129,7 +130,7 @@ class TestEliminateColor:
             c = families.random_proper_coloring(rng, g, k)
             boundary = rng.randint(1, p.t)
             target = rng.randint(1, k)
-            seq = eliminate_color(g, p, LayeredSubgraphRef(boundary), c,
+            seq = eliminate_color(g, p, boundary, c,
                                   target, range(1, k + 1))
             final = verify_sequence(g, c, seq, k)
             inside = {v for layer in p.layers[:boundary] for v in layer}
@@ -153,7 +154,7 @@ class TestEliminateColor:
                 continue
             boundary = rng.randint(1, p.t)
             target = rng.randint(1, p.s + 2)
-            seq = eliminate_color(g, p, LayeredSubgraphRef(boundary), c,
+            seq = eliminate_color(g, p, boundary, c,
                                   target, palette, mask=mask)
             final = verify_sequence(g, c, seq, k)
             inside = {v for layer in p.layers[:boundary] for v in layer} & set(mask)
@@ -183,7 +184,7 @@ class TestClearLayerColor:
         ord_ = embedded_ordering(p)
         c = Coloring((1, 3, 2, 2), 3)
         trace = EliminationTrace()
-        seq = eliminate_color(g, p, LayeredSubgraphRef(2), c, 3, {1, 2, 3},
+        seq = eliminate_color(g, p, 2, c, 3, {1, 2, 3},
                               trace=trace)
         final = verify_sequence(g, c, seq, 3)
         assert 3 not in final.colors
@@ -203,7 +204,7 @@ class TestReducePalette:
         p3 = families.path_graph(3)
         c4 = Coloring((4, 1, 4), 4)
         reduced = reduce_palette(p3, P3_PARTITION, c4, 4, 3)
-        direct = eliminate_color(p3, P3_PARTITION, LayeredSubgraphRef(2),
+        direct = eliminate_color(p3, P3_PARTITION, 2,
                                  c4, 4, {1, 2, 3, 4})
         assert reduced.steps == direct.steps
 
@@ -219,6 +220,34 @@ class TestReducePalette:
         p3 = families.path_graph(3)
         with pytest.raises(PaletteTooSmall):
             reduce_palette(p3, P3_PARTITION, Coloring((1, 2, 1), 3), 3, 2)
+
+
+class TestDeclaredPalette:
+    # The walk must depend on the colors in use, not on the declared k.
+    HUGE_K = 2000
+
+    def assert_k_independent(self, g, p, alpha, beta):
+        k = max(max(alpha.colors), max(beta.colors), p.s + 2)
+        small = [Coloring(c.colors, k) for c in (alpha, beta)]
+        huge = [Coloring(c.colors, self.HUGE_K) for c in (alpha, beta)]
+        assert (recolor_between(g, p, *small, k).steps
+                == recolor_between(g, p, *huge, self.HUGE_K).steps)
+        for c_small, c_huge in zip(small, huge):
+            assert (reduce_palette(g, p, c_small, k, p.s + 2).steps
+                    == reduce_palette(g, p, c_huge, self.HUGE_K, p.s + 2).steps)
+
+    def test_path(self):
+        self.assert_k_independent(families.path_graph(3), P3_PARTITION,
+                                  Coloring((1, 2, 1), 3), Coloring((2, 3, 1), 3))
+
+    def test_random_forests(self):
+        rng = random.Random(2000)
+        for _ in range(15):
+            g = families.random_forest(rng, rng.randint(1, 12))
+            p = build_degree_partition(g, SpecialISParams(2, HALF))
+            alpha = families.random_proper_coloring(rng, g, 6)
+            beta = families.random_proper_coloring(rng, g, 6)
+            self.assert_k_independent(g, p, alpha, beta)
 
 
 class TestRecolorBetween:
@@ -443,3 +472,68 @@ class TestBounds:
         assert walk_bound(1, 3) == 53
         assert elim_bound(2, 3) == 9 * (2 + 2 * 25) + 1 == 469
         assert walk_bound(2, 3) == 2 * 469 + 2 + 53 == 993
+
+
+# Every entry point that takes a coloring checks it the same way: a wrong
+# length or (where the call takes k) a wrong declared palette is a
+# ValueError, an improper coloring is ImproperInput, and each message names
+# the coloring. Callers: name -> (call on the coloring, takes k, name).
+_P3 = families.path_graph(3)
+_OTHER = Coloring((2, 1, 2), 3)
+COLORING_CALLERS = {
+    "recolor_between-alpha": (
+        lambda c: recolor_between(_P3, P3_PARTITION, c, _OTHER, 3), True, "alpha"),
+    "recolor_between-beta": (
+        lambda c: recolor_between(_P3, P3_PARTITION, _OTHER, c, 3), True, "beta"),
+    "reduce_palette": (
+        lambda c: reduce_palette(_P3, P3_PARTITION, c, 3, 3), True, "input coloring"),
+    "eliminate_color": (
+        lambda c: eliminate_color(_P3, P3_PARTITION, 2, c, 3, {1, 2, 3}),
+        False, "input coloring"),
+    "greedy_promote": (
+        lambda c: greedy_promote(_P3, embedded_ordering(P3_PARTITION), c, 3, range(3)),
+        False, "input coloring"),
+    "bfs_distance-alpha": (lambda c: bfs_distance(_P3, 3, c, _OTHER), True, "alpha"),
+    "bfs_distance-beta": (lambda c: bfs_distance(_P3, 3, _OTHER, c), True, "beta"),
+}
+BAD_COLORINGS = {
+    "length": (Coloring((1, 2), 3), ValueError, "has 2 entries for 3 vertices"),
+    "palette": (Coloring((1, 2, 1), 4), ValueError, "declares palette 4, expected 3"),
+    "improper": (Coloring((1, 1, 2), 3), ImproperInput, "is not a proper coloring"),
+}
+
+
+@pytest.mark.parametrize("caller,defect", [
+    (caller, defect) for caller, (_, takes_k, _) in COLORING_CALLERS.items()
+    for defect in BAD_COLORINGS if defect != "palette" or takes_k])
+def test_coloring_check(caller, defect):
+    call, _, name = COLORING_CALLERS[caller]
+    coloring, error, message = BAD_COLORINGS[defect]
+    with pytest.raises(error, match=f"^{re.escape(f'{name} {message}')}$"):
+        call(coloring)
+
+
+PUBLIC_SURFACE = [
+    "Coloring", "DEFAULT_STATE_CAP", "DegreePartition", "EliminationTrace",
+    "EmbeddedOrdering", "Graph", "GraphFormatError", "ImproperInput",
+    "PaletteTooSmall", "RecolorStats", "RecoloringSequence", "RecoloringStep",
+    "RecolorwalkError", "SequenceViolation", "SizeGuaranteeViolated",
+    "SpecialISParams", "StateSpaceTooLarge", "WorkSets", "bfs_distance",
+    "build_degree_partition", "clear_layer_color", "count_proper_colorings",
+    "decode_coloring", "degeneracy_ordering", "degree_partition_from_degeneracy",
+    "elim_bound", "eliminate_color", "embedded_ordering", "encode_coloring",
+    "enumerate_special_is", "exact_diameter", "greedy_promote", "is_proper",
+    "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
+    "partition_round_bound", "recolor_between", "recolor_theorem_pipeline",
+    "reduce_palette", "sequence_stats", "serialize_coloring", "serialize_graph",
+    "serialize_partition", "special_independent_set", "validate_partition",
+    "verify_sequence", "walk_bound",
+]
+
+
+def test_public_surface():
+    # Growing or shrinking the exported names must show up in this list.
+    assert sorted(recolorwalk.__all__) == PUBLIC_SURFACE
+    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 49
+    for name in recolorwalk.__all__:
+        assert getattr(recolorwalk, name) is not None

@@ -13,7 +13,6 @@ from recolorwalk import (
     degeneracy_ordering,
     embedded_ordering,
     enumerate_special_is,
-    later_layer_degree,
     partition_round_bound,
     serialize_partition,
     special_independent_set,
@@ -23,6 +22,12 @@ from recolorwalk import (
 import families
 
 HALF = Fraction(1, 2)
+
+
+def later_layer_degree(g, p, v):
+    """Neighbors of v in layers strictly after v's layer."""
+    layer_of = embedded_ordering(p).layer_of
+    return sum(1 for w in g.adjacency[v] if layer_of[w] > layer_of[v])
 
 
 class TestParams:
