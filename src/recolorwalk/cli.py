@@ -1,9 +1,9 @@
 """Command-line front end.
 
 The primary answer is the only thing written to stdout; diagnostics go to
-stderr. Exit codes: 0 success, 2 input file or parameter parse error,
-3 state cap exceeded, 4 independent-set size guarantee failed, 5 improper
-input coloring, 6 palette too small, 7 sequence verification failure.
+stderr. Exit codes: 0 success, 2 parse error or unwritable output, 3 state
+cap exceeded, 4 independent-set size guarantee failed, 5 improper input
+coloring, 6 palette too small, 7 a sequence or built walk failed its replay.
 
 The oracle's k^n cap (default 10^7) can be overridden with the
 RECOLOR_STATE_CAP environment variable.
@@ -61,6 +61,13 @@ def _read_input(path: str, role: str, report: dict) -> str:
         raise GraphFormatError(f"cannot read {role} file {path}: {exc.strerror}") from None
     report["inputs"][role] = hashlib.sha256(data).hexdigest()
     return data.decode("utf-8")
+
+
+def _write_output(path: str, role: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot write {role} file {path}: {exc.strerror}") from None
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -144,17 +151,17 @@ def _cmd_recolor(args, report: dict) -> int:
             raise GraphFormatError("-d and --epsilon are required without --degenerate-fallback")
         seq, stats, partition = recolor_theorem_pipeline(
             g, args.d, _parse_rational(args.epsilon), alpha, beta, args.k)
+    payload = _stats_payload(stats, partition, g.n)
     if args.out:
-        lines = "".join(f"{step.vertex} {step.new_color}\n" for step in seq.steps)
-        Path(args.out).write_text(lines)
+        _write_output(args.out, "sequence",
+                      "".join(f"{step.vertex} {step.new_color}\n" for step in seq.steps))
     if args.stats:
-        payload = _stats_payload(stats, partition, g.n)
-        Path(args.stats).write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_output(args.stats, "stats",
+                      json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     report["outputs"]["sequence_length"] = stats.total
     report["outputs"]["s"] = partition.s
     report["outputs"]["t"] = partition.t
-    report["outputs"]["stats"] = _stats_payload(stats, partition, g.n)
+    report["outputs"]["stats"] = payload
     if args.report:
         mad = mad_exact(g)
         report["outputs"]["mad"] = f"{mad.numerator}/{mad.denominator}"
@@ -247,7 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     report = {"command": argv, "inputs": {}, "outputs": {}}
-    code = 0
     try:
         code = args.func(args, report)
     except (RecolorwalkError, ValueError) as exc:
@@ -258,8 +264,12 @@ def main(argv: list[str] | None = None) -> int:
                   "partition without the density precondition", file=sys.stderr)
     if getattr(args, "report", None):
         report["exit_status"] = code
-        Path(args.report).write_text(
-            json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        try:
+            _write_output(args.report, "report",
+                          json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        except GraphFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     return code
 
 

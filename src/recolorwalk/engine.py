@@ -10,15 +10,17 @@ Recursion never materializes subgraphs. Each recursive call receives a
 vertex mask and recolors masked vertices only; vertices outside a call's
 mask but within its layer range always hold colors outside the call's
 palette, so they can never block a recoloring to a palette color. The code
-does not *rely* on that invariant for safety: every single recoloring is
-assertion-checked for properness against the full graph, so a broken
-precondition surfaces as an AssertionError rather than an invalid walk.
+does not *rely* on that invariant for safety: every public walk producer
+replays its walk with `verify_sequence` and checks its promised end state
+before returning, so a fault surfaces as a SequenceViolation, also under
+`python -O`, rather than as an invalid walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import ImproperInput, PaletteTooSmall, SequenceViolation
 from .graphs import Coloring, Graph, check_coloring
@@ -90,27 +92,20 @@ class EliminationTrace:
 
 
 class _WalkState:
-    """Mutable replay state: current colors, recorded steps, per-vertex counts."""
+    """Mutable state: current colors, recorded steps, each step's old color."""
 
-    __slots__ = ("g", "colors", "steps", "olds", "counts")
+    __slots__ = ("g", "colors", "steps", "olds")
 
     def __init__(self, g: Graph, start: Coloring):
         self.g = g
         self.colors = list(start.colors)
         self.steps: list[RecoloringStep] = []
         self.olds: list[int] = []
-        self.counts = [0] * g.n
 
     def recolor(self, v: int, color: int) -> None:
-        old = self.colors[v]
-        assert old != color, f"no-op recoloring of vertex {v}"
-        for w in self.g.adjacency[v]:
-            assert self.colors[w] != color, \
-                f"recoloring vertex {v} to {color} clashes with neighbor {w}"
         self.steps.append(RecoloringStep(v, color))
-        self.olds.append(old)
+        self.olds.append(self.colors[v])
         self.colors[v] = color
-        self.counts[v] += 1
 
 
 def _promote(state: _WalkState, ord_: EmbeddedOrdering, mask: frozenset[int],
@@ -155,9 +150,9 @@ def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, boundary: int,
                trace: EliminationTrace | None) -> None:
     """Purge `target` from the masked part of layers 0..boundary-1.
 
-    Loop invariant between rounds: the lowest layer holding `target` within
-    the masked boundary strictly increases, because a round ends with the
-    active layer and everything below it target-free.
+    One round per layer that holds `target`, lowest first. A round recolors
+    only masked vertices of its own layer and earlier ones, so the layers
+    above it still hold `target` exactly where they did on entry.
     """
     if boundary <= 0 or not mask:
         return
@@ -175,31 +170,21 @@ def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, boundary: int,
         raise PaletteTooSmall(
             f"palette of {len(palette)} colors cannot clear a color at layer "
             f"depth {depth}; at least {depth + 2} colors are needed")
-    while True:
-        h = None
-        for v in mask:
-            if state.colors[v] == target and layer_of[v] < boundary:
-                if h is None or layer_of[v] < h:
-                    h = layer_of[v]
-        if h is None:
-            break
+    pos = ord_.position_of
+    for h in sorted({layer_of[v] for v in scope if colors[v] == target}):
         u_set = frozenset(v for v in mask if layer_of[v] < h)
         for a in sorted(palette - {target}):
             w_current = tuple(v for v in sorted(mask)
-                              if layer_of[v] == h and state.colors[v] == target)
+                              if layer_of[v] == h and colors[v] == target)
             if not w_current:
                 break
-            pos = ord_.position_of
             w_a = tuple(v for v in w_current
-                        if all(state.colors[w] != a
-                               for w in state.g.adjacency[v] if pos[w] > pos[v]))
+                        if all(colors[w] != a
+                               for w in adjacency[v] if pos[w] > pos[v]))
             if not w_a:
                 continue
             _clear_layer(state, ord_, h, target, a, u_set, w_a, w_current,
                          depth, palette, trace)
-        assert not any(state.colors[v] == target
-                       for v in mask if layer_of[v] == h), \
-            "active layer not cleared; some vertex fit no replacement color"
 
 
 def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
@@ -213,56 +198,40 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
     recursively purge `a` from the unpromoted rest, recolor w_a directly,
     then repeat the first two phases with `a` and `target` interchanged so
     u ends target-free again. When u | w_a has no internal forward edges the
-    direct recoloring alone is already proper.
+    direct recoloring alone is already proper. `w_a` is sorted.
     """
     g = state.g
     layer_of = ord_.layer_of
-    pos = ord_.position_of
-    assert all(state.colors[v] != target for v in u_set), \
-        "earlier layers must be target-free on entry"
-    for v in w_a:
-        assert state.colors[v] == target
-        assert all(state.colors[w] != a
-                   for w in g.adjacency[v] if pos[w] > pos[v])
-    counts_before = {v: state.counts[v] for v in w_a}
+    first = len(state.steps)
     members = u_set | set(w_a)
     # No later-layer edge inside u | w_a: the direct recoloring is safe.
     if depth == 0 or _later_degree(g, layer_of, members, members) <= 0:
-        for v in sorted(w_a):
+        for v in w_a:
             state.recolor(v, a)
-        promoted_first: frozenset[int] = frozenset()
-        promoted_second: frozenset[int] = frozenset()
-        inner_later = -1
+        promoted_first = promoted_second = inner = frozenset()
     else:
         promoted_first = _promote(state, ord_, u_set, target)
         inner = u_set - promoted_first
-        inner_later = _later_degree(g, layer_of, inner, inner)
-        assert inner_later < depth, \
-            "promotion must strictly reduce the masked layer depth"
         _eliminate(state, ord_, h, a, palette - {target}, inner, trace)
-        for v in sorted(w_a):
+        for v in w_a:
             state.recolor(v, a)
         promoted_second = _promote(state, ord_, u_set, a)
         _eliminate(state, ord_, h, target, palette - {a},
                    u_set - promoted_second, trace)
-    assert all(state.colors[v] != target for v in u_set)
-    assert all(state.colors[v] == a for v in w_a)
-    deltas = tuple(state.counts[v] - counts_before[v] for v in sorted(w_a))
-    assert all(delta <= 1 for delta in deltas), \
-        "a cleared vertex may be recolored at most once"
     if trace is not None:
+        moved = Counter(step.vertex for step in state.steps[first:])
         trace.claims.append(WorkSets(
             layer=h,
             target=target,
             color=a,
             w=w_current,
-            w_a=tuple(sorted(w_a)),
+            w_a=w_a,
             u=tuple(sorted(u_set)),
             depth=depth,
             promoted_to_target=tuple(sorted(promoted_first)),
             promoted_to_color=tuple(sorted(promoted_second)),
-            w_a_recolor_counts=deltas,
-            inner_mask_later_degree=inner_later,
+            w_a_recolor_counts=tuple(moved[v] for v in w_a),
+            inner_mask_later_degree=_later_degree(g, layer_of, inner, inner),
         ))
 
 
@@ -275,22 +244,20 @@ def _between(a_state: _WalkState, b_state: _WalkState, t: int,
     first side can copy the second directly. Otherwise both sides purge the
     top color and promote toward it; promotion after a purge is a pure
     function of the mask and ordering, so the promoted sets coincide and the
-    recursion may drop them from the mask together with the top color.
+    next level may drop them from the mask together with the top color. A
+    level with an empty mask would emit nothing, so the loop stops there.
     """
-    if len(palette) <= 2:
-        for v in sorted(mask):
-            if a_state.colors[v] != b_state.colors[v]:
-                a_state.recolor(v, b_state.colors[v])
-        return
-    target = max(palette)
-    _eliminate(a_state, ord_, t, target, palette, mask, trace)
-    _eliminate(b_state, ord_, t, target, palette, mask, trace)
-    promoted_a = _promote(a_state, ord_, mask, target)
-    promoted_b = _promote(b_state, ord_, mask, target)
-    assert promoted_a == promoted_b, \
-        "the two promotion sweeps must agree on the shared set"
-    _between(a_state, b_state, t, ord_, mask - promoted_a,
-             palette - {target}, trace)
+    while mask and len(palette) > 2:
+        target = max(palette)
+        _eliminate(a_state, ord_, t, target, palette, mask, trace)
+        _eliminate(b_state, ord_, t, target, palette, mask, trace)
+        promoted = _promote(a_state, ord_, mask, target)
+        _promote(b_state, ord_, mask, target)
+        mask -= promoted
+        palette -= {target}
+    for v in sorted(mask):
+        if a_state.colors[v] != b_state.colors[v]:
+            a_state.recolor(v, b_state.colors[v])
 
 
 def _reduce(state: _WalkState, ord_: EmbeddedOrdering, t: int,
@@ -313,6 +280,17 @@ def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring]
         check_coloring(g, c, name, k)
 
 
+def _checked_walk(g: Graph, start: Coloring, steps: Iterable[RecoloringStep],
+                  k: int, ends: Callable[[tuple[int, ...]], bool],
+                  goal: str) -> RecoloringSequence:
+    """Exit of every public walk producer: replay the walk in {1..k} and
+    check its last coloring with `ends`; SequenceViolation on either failure."""
+    seq = RecoloringSequence(start, tuple(steps))
+    if not ends(verify_sequence(g, start, seq, k).colors):
+        raise SequenceViolation(len(seq.steps), f"walk does not end with {goal}")
+    return seq
+
+
 def greedy_promote(g: Graph, ord_: EmbeddedOrdering, c: Coloring, target: int,
                    mask: Iterable[int]) -> tuple[RecoloringSequence, tuple[int, ...]]:
     """Single promotion sweep toward `target` over the masked vertices.
@@ -329,8 +307,10 @@ def greedy_promote(g: Graph, ord_: EmbeddedOrdering, c: Coloring, target: int,
     if any(not 0 <= v < g.n for v in mask_set):
         raise ValueError("mask contains out-of-range vertices")
     state = _WalkState(g, c)
-    taken = _promote(state, ord_, mask_set, target)
-    return RecoloringSequence(c, tuple(state.steps)), tuple(sorted(taken))
+    taken = tuple(sorted(_promote(state, ord_, mask_set, target)))
+    return _checked_walk(g, c, state.steps, c.k,
+                         lambda colors: all(colors[v] == target for v in taken),
+                         f"the promoted vertices on color {target}"), taken
 
 
 def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
@@ -361,7 +341,10 @@ def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
     state = _WalkState(g, c)
     ord_ = embedded_ordering(p)
     _eliminate(state, ord_, boundary, target, palette_set, mask_set, trace)
-    return RecoloringSequence(c, tuple(state.steps))
+    scope = [v for v in mask_set if ord_.layer_of[v] < boundary]
+    return _checked_walk(g, c, state.steps, c.k,
+                         lambda colors: all(colors[v] != target for v in scope),
+                         f"color {target} gone from the masked boundary")
 
 
 def clear_layer_color(g: Graph, p: DegreePartition, ord_: EmbeddedOrdering,
@@ -372,8 +355,8 @@ def clear_layer_color(g: Graph, p: DegreePartition, ord_: EmbeddedOrdering,
     u | w_a, against the full palette {1..c.k}.
 
     Preconditions (no vertex of u holds `target`; every w_a vertex holds
-    `target` and has no later-position neighbor colored `a`) are asserted,
-    not assumed.
+    `target` and has no later-position neighbor colored `a`) are checked,
+    not assumed, and raise ValueError.
     """
     _checked_inputs(g, p, {"input coloring": c})
     w_a_tuple = tuple(sorted(set(w_a)))
@@ -387,11 +370,23 @@ def clear_layer_color(g: Graph, p: DegreePartition, ord_: EmbeddedOrdering,
     u_set = frozenset(u)
     if any(layer_of[v] >= h for v in u_set):
         raise ValueError("u must lie in layers before the w_a layer")
+    if any(c.colors[v] == target for v in u_set):
+        raise ValueError(f"u must not hold the target color {target}")
+    pos = ord_.position_of
+    for v in w_a_tuple:
+        if c.colors[v] != target:
+            raise ValueError(f"w_a vertex {v} does not hold the target color {target}")
+        if any(c.colors[w] == a for w in g.adjacency[v] if pos[w] > pos[v]):
+            raise ValueError(f"w_a vertex {v} has a later-position neighbor colored {a}")
     state = _WalkState(g, c)
     palette = frozenset(range(1, c.k + 1))
     _clear_layer(state, ord_, h, target, a, u_set, w_a_tuple, w_a_tuple,
                  depth, palette, trace)
-    return RecoloringSequence(c, tuple(state.steps))
+    return _checked_walk(
+        g, c, state.steps, c.k,
+        lambda colors: (all(colors[v] == a for v in w_a_tuple)
+                        and all(colors[v] != target for v in u_set)),
+        f"w_a on color {a} and u free of color {target}")
 
 
 def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
@@ -409,7 +404,9 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, c)
     _reduce(state, embedded_ordering(p), p.t, target_size, trace)
-    return RecoloringSequence(c, tuple(state.steps))
+    return _checked_walk(g, c, state.steps, k,
+                         lambda colors: max(colors) <= target_size,
+                         f"at most {target_size} colors")
 
 
 def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
@@ -434,12 +431,10 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
         _reduce(state, ord_, p.t, p.s + 2, trace)
     _between(a_state, b_state, p.t, ord_, frozenset(range(g.n)),
              frozenset(range(1, p.s + 3)), trace)
-    assert a_state.colors == b_state.colors, \
-        "both sides must meet at the same coloring"
-    steps = list(a_state.steps)
-    for i in range(len(b_state.steps) - 1, -1, -1):
-        steps.append(RecoloringStep(b_state.steps[i].vertex, b_state.olds[i]))
-    return RecoloringSequence(alpha, tuple(steps))
+    steps = a_state.steps + [RecoloringStep(step.vertex, old) for step, old
+                             in zip(reversed(b_state.steps), reversed(b_state.olds))]
+    return _checked_walk(g, alpha, steps, k,
+                         lambda colors: colors == beta.colors, "beta")
 
 
 def recolor_theorem_pipeline(

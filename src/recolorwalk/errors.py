@@ -51,7 +51,7 @@ class SizeGuaranteeViolated(RecolorwalkError):
 
 
 class SequenceViolation(RecolorwalkError):
-    """A replayed recoloring sequence broke one of the walk rules."""
+    """A replayed recoloring sequence broke a walk rule or missed its end state."""
 
     def __init__(self, step_index: int, reason: str):
         super().__init__(f"step {step_index}: {reason}")

@@ -227,8 +227,8 @@ def mad_brute(g: Graph) -> Fraction:
     return Fraction(2 * best_e, best_v)
 
 
-def _densest_cut(g: Graph, guess: Fraction) -> tuple[bool, list[int]]:
-    """Feasibility test: does some subgraph have |E(H)|/|V(H)| > guess?
+def _densest_cut(g: Graph, guess: Fraction) -> Fraction | None:
+    """Edge density of a subgraph denser than `guess`, or None if none is.
 
     Classic reduction: source feeds every vertex m, every vertex drains
     m + 2*guess - deg(v), edges carry 1 both ways. Capacities are scaled by
@@ -245,30 +245,23 @@ def _densest_cut(g: Graph, guess: Fraction) -> tuple[bool, list[int]]:
         net.add_edge(u, v, capacity=q)
         net.add_edge(v, u, capacity=q)
     cut_value, (source_side, _) = nx.minimum_cut(net, "s", "t")
-    witness = sorted(v for v in source_side if v != "s")
-    return cut_value < g.n * g.m * q, witness
+    if cut_value >= g.n * g.m * q:
+        return None
+    inside = source_side - {"s"}
+    return Fraction(sum(1 for u, v in g.edges() if u in inside and v in inside), len(inside))
 
 
 def mad_exact(g: Graph) -> Fraction:
-    """Exact maximum average degree via binary search over subgraph densities.
+    """Exact maximum average degree by Dinkelbach iteration on edge density.
 
-    Candidate densities are fractions e/v with v <= n, so two distinct
-    candidates differ by more than 1/n^2; once the search interval is that
-    narrow it contains a single candidate, and the minimum-cut witness at
-    the interval's low end realizes it exactly.
+    Starts at the whole graph's density m/n and moves to the density of the
+    denser subgraph the minimum cut exposes until there is none. Each move
+    raises the density strictly through the finitely many values e/v with
+    v <= n, so it stops at the maximum edge density, half the answer.
     """
     if g.m == 0:
         return Fraction(0)
-    lo, hi = Fraction(0), Fraction(g.n, 2)
-    gap = Fraction(1, g.n * g.n)
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        if _densest_cut(g, mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    exceeds, witness = _densest_cut(g, lo)
-    assert exceeds and witness, "final cut must expose a denser subgraph"
-    inside = set(witness)
-    e = sum(1 for u, v in g.edges() if u in inside and v in inside)
-    return Fraction(2 * e, len(witness))
+    density = Fraction(g.m, g.n)
+    while (denser := _densest_cut(g, density)) is not None:
+        density = denser
+    return 2 * density

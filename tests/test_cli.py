@@ -148,6 +148,18 @@ def test_recolor_requires_budget_without_fallback(files, capsys):
     assert main(["recolor", graph, frm, frm, "-k", "3"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--stats", "--report"])
+def test_recolor_unwritable_output(files, tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(["recolor", files("p3.txt", P3), files("from.txt", "1 2 1\n"),
+                 files("to.txt", "2 1 2\n"), "-k", "3", "-d", "2", "--epsilon", "1/2",
+                 flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert len(err.splitlines()) == 1
+    assert not path.parent.exists()
+
+
 def test_verify_detects_corruption(files, tmp_path, capsys):
     graph = files("p3.txt", P3)
     frm = files("from.txt", "1 2 1\n")

@@ -1,10 +1,17 @@
+import ast
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import recolorwalk
+import recolorwalk.engine as engine
 from recolorwalk import (
     Coloring,
     DegreePartition,
@@ -32,6 +39,7 @@ from recolorwalk import (
     verify_sequence,
     walk_bound,
 )
+from recolorwalk.cli import main
 
 import families
 
@@ -176,6 +184,17 @@ class TestClearLayerColor:
         seq = clear_layer_color(p3, P3_PARTITION, embedded_ordering(P3_PARTITION),
                                 c, 3, 2, (0, 2), (), 1)
         assert seq.steps == ()
+
+    @pytest.mark.parametrize("colors,u,w_a,message", [
+        ((3, 1, 2), (0,), (1,), "u must not hold the target color 3"),
+        ((1, 2, 1), (), (0,), "w_a vertex 0 does not hold the target color 3"),
+        ((3, 2, 1), (), (0,), "w_a vertex 0 has a later-position neighbor colored 2"),
+    ], ids=["u-on-target", "w_a-off-target", "later-neighbor-on-a"])
+    def test_preconditions_are_value_errors(self, colors, u, w_a, message):
+        p3 = families.path_graph(3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            clear_layer_color(p3, P3_PARTITION, embedded_ordering(P3_PARTITION),
+                              Coloring(colors, 3), 3, 2, u, w_a, 1)
 
     def test_general_path_clears_and_restores(self):
         # star with target on a leaf layer vertex and a blocking center
@@ -403,6 +422,15 @@ class TestPipeline:
             seq, _, _ = recolor_theorem_pipeline(g, 2, HALF, alpha, beta, 5)
             assert verify_sequence(g, alpha, seq, 5).colors == beta.colors
 
+    def test_more_palette_levels_than_the_recursion_limit(self):
+        # s + 2 = 2001 colors on a 3-vertex path: the level loop stops once
+        # every vertex is promoted instead of recursing once per color.
+        p3 = families.path_graph(3)
+        alpha, beta = Coloring((1, 2, 1), 2001), Coloring((2, 1, 2), 2001)
+        seq, _, partition = recolor_theorem_pipeline(p3, 2000, HALF, alpha, beta, 2001)
+        assert partition.s + 2 > sys.getrecursionlimit()
+        assert verify_sequence(p3, alpha, seq, 2001).colors == beta.colors
+
     def test_dense_graph_rejected(self):
         k4 = families.complete_graph(4)
         c = Coloring((1, 2, 3, 4), 4)
@@ -537,3 +565,83 @@ def test_public_surface():
     assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 49
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
+
+
+_O_PROBE = """
+import sys
+from recolorwalk import *
+if __debug__:
+    sys.exit("asserts are still on")
+g = Graph.from_edges(3, [(0, 1), (1, 2)])
+p = DegreePartition(1, ((0, 2), (1,)))
+try:
+    seq = clear_layer_color(g, p, embedded_ordering(p), Coloring((1, 2, 1), 3),
+                            3, 2, (), [0], 1)
+except (ValueError, SequenceViolation) as exc:
+    print("raised", type(exc).__name__)
+else:
+    print("returned", seq.steps)
+"""
+
+
+def test_walk_check_survives_python_O():
+    # Vertex 0 does not hold the target: with asserts stripped this call
+    # once returned the improper walk ((0, 2),).
+    src = str(Path(recolorwalk.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-O", "-c", _O_PROBE], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised ValueError\n"
+
+
+def _corrupting_promote(monkeypatch):
+    # The first promotion sweep also records a step that copies a
+    # neighbor's color: an improper walk the exit replay must catch.
+    promote = engine._promote
+    done = []
+
+    def corrupt(state, ord_, mask, target):
+        taken = promote(state, ord_, mask, target)
+        if not done:
+            v = min(v for v in mask if state.g.adjacency[v])
+            state.recolor(v, state.colors[state.g.adjacency[v][0]])
+            done.append(v)
+        return taken
+    monkeypatch.setattr(engine, "_promote", corrupt)
+    return done
+
+
+def test_corrupted_walk_raises(monkeypatch):
+    done = _corrupting_promote(monkeypatch)
+    with pytest.raises(SequenceViolation, match="already has color"):
+        recolor_between(_P3, P3_PARTITION, Coloring((1, 2, 1), 3), _OTHER, 3)
+    assert done
+
+
+def test_unfinished_walk_raises(monkeypatch):
+    # A proper walk that stops short of beta fails the end-state check.
+    monkeypatch.setattr(engine, "_between", lambda *args: None)
+    with pytest.raises(SequenceViolation, match="^step 0: walk does not end with beta$"):
+        recolor_between(_P3, P3_PARTITION, Coloring((1, 2, 1), 3), _OTHER, 3)
+
+
+def test_corrupted_walk_exits_7_with_report(monkeypatch, tmp_path, capsys):
+    done = _corrupting_promote(monkeypatch)
+    for name, text in (("g.txt", "3 2\n0 1\n1 2\n"), ("from.txt", "1 2 1\n"),
+                       ("to.txt", "2 1 2\n")):
+        (tmp_path / name).write_text(text)
+    report = tmp_path / "report.json"
+    code = main(["recolor", *(str(tmp_path / n) for n in ("g.txt", "from.txt", "to.txt")),
+                 "-k", "3", "-d", "2", "--epsilon", "1/2", "--report", str(report)])
+    assert done and code == 7
+    assert capsys.readouterr().err.startswith("error: step ")
+    assert json.loads(report.read_text())["exit_status"] == 7
+
+
+def test_no_assert_in_the_package():
+    # Walk validity must not depend on asserts, which `python -O` strips.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(recolorwalk.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
