@@ -46,10 +46,8 @@ from .engine import (
     RecoloringSequence,
     RecoloringStep,
     WorkSets,
-    clear_layer_color,
     elim_bound,
     eliminate_color,
-    greedy_promote,
     recolor_between,
     recolor_theorem_pipeline,
     reduce_palette,
@@ -88,7 +86,6 @@ __all__ = [
     "WorkSets",
     "bfs_distance",
     "build_degree_partition",
-    "clear_layer_color",
     "count_proper_colorings",
     "decode_coloring",
     "degeneracy_ordering",
@@ -99,7 +96,6 @@ __all__ = [
     "encode_coloring",
     "enumerate_special_is",
     "exact_diameter",
-    "greedy_promote",
     "is_proper",
     "mad_brute",
     "mad_exact",

@@ -70,6 +70,20 @@ def _write_output(path: str, role: str, text: str) -> None:
         raise GraphFormatError(f"cannot write {role} file {path}: {exc.strerror}") from None
 
 
+def _write_report(path: str | None, report: dict, code: int) -> int:
+    """Write the run report, if asked for, and return the exit code: 2 when
+    the report cannot be written."""
+    if path:
+        report["exit_status"] = code
+        try:
+            _write_output(path, "report",
+                          json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        except GraphFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return code
+
+
 def _parse_rational(text: str) -> Fraction:
     parts = text.split("/")
     try:
@@ -262,15 +276,12 @@ def main(argv: list[str] | None = None) -> int:
         if code == 4 and args.command == "recolor" and not args.degenerate_fallback:
             print("hint: --degenerate-fallback builds a degeneracy-based "
                   "partition without the density precondition", file=sys.stderr)
-    if getattr(args, "report", None):
-        report["exit_status"] = code
-        try:
-            _write_output(args.report, "report",
-                          json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-        except GraphFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
-    return code
+    except Exception:
+        # An unexpected fault still leaves its report, with the exit status
+        # of the traceback that follows.
+        _write_report(args.report, report, 1)
+        raise
+    return _write_report(args.report, report, code)
 
 
 if __name__ == "__main__":

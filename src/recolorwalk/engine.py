@@ -7,13 +7,13 @@ position" always implies "strictly later layer" for neighbors (same-layer
 neighbors cannot exist, layers being independent sets).
 
 Recursion never materializes subgraphs. Each recursive call receives a
-vertex mask and recolors masked vertices only; vertices outside a call's
-mask but within its layer range always hold colors outside the call's
-palette, so they can never block a recoloring to a palette color. The code
-does not *rely* on that invariant for safety: every public walk producer
-replays its walk with `verify_sequence` and checks its promised end state
-before returning, so a fault surfaces as a SequenceViolation, also under
-`python -O`, rather than as an invalid walk.
+vertex mask, already cut to the layers it may touch, and recolors masked
+vertices only; unmasked vertices in those layers always hold colors outside
+the call's palette, so they can never block a recoloring to a palette
+color. The code does not *rely* on that invariant for safety: every public
+walk producer replays its walk with `verify_sequence` and checks its
+promised end state before returning, so a fault surfaces as a
+SequenceViolation, also under `python -O`, rather than as an invalid walk.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class _WalkState:
 def _promote(state: _WalkState, ord_: EmbeddedOrdering, mask: frozenset[int],
              target: int) -> frozenset[int]:
     # Scan masked vertices from the last position toward the first,
-    # recoloring each to `target` whenever no neighbor currently holds it.
+    # recoloring each to `target` whenever no neighbor currently holds it;
+    # return the masked vertices that hold `target` afterwards.
     taken = set()
     colors = state.colors
     adjacency = state.g.adjacency
@@ -145,33 +146,32 @@ def _later_degree(g: Graph, layer_of: tuple[int, ...], vertices: Iterable[int],
     return best
 
 
-def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, boundary: int,
-               target: int, palette: frozenset[int], mask: frozenset[int],
+def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, target: int,
+               palette: frozenset[int], mask: frozenset[int],
                trace: EliminationTrace | None) -> None:
-    """Purge `target` from the masked part of layers 0..boundary-1.
+    """Purge `target` from the masked vertices.
 
-    One round per layer that holds `target`, lowest first. A round recolors
-    only masked vertices of its own layer and earlier ones, so the layers
-    above it still hold `target` exactly where they did on entry.
+    One round per layer that holds `target` on the mask, lowest first. A
+    round recolors only masked vertices of its own layer and earlier ones,
+    so the layers above it still hold `target` exactly where they did on
+    entry. Callers cut the mask to the layers they may touch.
     """
-    if boundary <= 0 or not mask:
+    if not mask:
         return
     layer_of = ord_.layer_of
     colors = state.colors
     adjacency = state.g.adjacency
-    scope = [v for v in mask if layer_of[v] < boundary]
     # Neighbors that could ever hold a palette color during this call:
     # masked ones (they stay inside the palette) plus unmasked ones
     # currently colored from it.
-    holders = {w for v in scope for w in adjacency[v]
+    holders = {w for v in mask for w in adjacency[v]
                if w in mask or colors[w] in palette}
-    depth = max(_later_degree(state.g, layer_of, scope, holders), 0)
+    depth = max(_later_degree(state.g, layer_of, mask, holders), 0)
     if len(palette) < depth + 2:
         raise PaletteTooSmall(
             f"palette of {len(palette)} colors cannot clear a color at layer "
             f"depth {depth}; at least {depth + 2} colors are needed")
-    pos = ord_.position_of
-    for h in sorted({layer_of[v] for v in scope if colors[v] == target}):
+    for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
         u_set = frozenset(v for v in mask if layer_of[v] < h)
         for a in sorted(palette - {target}):
             w_current = tuple(v for v in sorted(mask)
@@ -180,7 +180,7 @@ def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, boundary: int,
                 break
             w_a = tuple(v for v in w_current
                         if all(colors[w] != a
-                               for w in adjacency[v] if pos[w] > pos[v]))
+                               for w in adjacency[v] if layer_of[w] > h))
             if not w_a:
                 continue
             _clear_layer(state, ord_, h, target, a, u_set, w_a, w_current,
@@ -212,11 +212,11 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
     else:
         promoted_first = _promote(state, ord_, u_set, target)
         inner = u_set - promoted_first
-        _eliminate(state, ord_, h, a, palette - {target}, inner, trace)
+        _eliminate(state, ord_, a, palette - {target}, inner, trace)
         for v in w_a:
             state.recolor(v, a)
         promoted_second = _promote(state, ord_, u_set, a)
-        _eliminate(state, ord_, h, target, palette - {a},
+        _eliminate(state, ord_, target, palette - {a},
                    u_set - promoted_second, trace)
     if trace is not None:
         moved = Counter(step.vertex for step in state.steps[first:])
@@ -235,9 +235,9 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
         ))
 
 
-def _between(a_state: _WalkState, b_state: _WalkState, t: int,
-             ord_: EmbeddedOrdering, mask: frozenset[int],
-             palette: frozenset[int], trace: EliminationTrace | None) -> None:
+def _between(a_state: _WalkState, b_state: _WalkState, ord_: EmbeddedOrdering,
+             mask: frozenset[int], palette: frozenset[int],
+             trace: EliminationTrace | None) -> None:
     """Drive both sides to a common coloring of the masked vertices.
 
     With two colors left the masked subgraph has no internal edges, so the
@@ -249,8 +249,8 @@ def _between(a_state: _WalkState, b_state: _WalkState, t: int,
     """
     while mask and len(palette) > 2:
         target = max(palette)
-        _eliminate(a_state, ord_, t, target, palette, mask, trace)
-        _eliminate(b_state, ord_, t, target, palette, mask, trace)
+        _eliminate(a_state, ord_, target, palette, mask, trace)
+        _eliminate(b_state, ord_, target, palette, mask, trace)
         promoted = _promote(a_state, ord_, mask, target)
         _promote(b_state, ord_, mask, target)
         mask -= promoted
@@ -260,15 +260,15 @@ def _between(a_state: _WalkState, b_state: _WalkState, t: int,
             a_state.recolor(v, b_state.colors[v])
 
 
-def _reduce(state: _WalkState, ord_: EmbeddedOrdering, t: int,
-            target_size: int, trace: EliminationTrace | None) -> None:
+def _reduce(state: _WalkState, ord_: EmbeddedOrdering, target_size: int,
+            trace: EliminationTrace | None) -> None:
     # Eliminate the largest color still held, against the palette of every
     # color up to it, until at most target_size colors remain. Eliminating j
     # only introduces colors below j, so a color nobody holds is skipped
     # where eliminating it would emit nothing.
     mask = frozenset(range(state.g.n))
     while (j := max(state.colors)) > target_size:
-        _eliminate(state, ord_, t, j, frozenset(range(1, j + 1)), mask, trace)
+        _eliminate(state, ord_, j, frozenset(range(1, j + 1)), mask, trace)
 
 
 def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring],
@@ -291,28 +291,6 @@ def _checked_walk(g: Graph, start: Coloring, steps: Iterable[RecoloringStep],
     return seq
 
 
-def greedy_promote(g: Graph, ord_: EmbeddedOrdering, c: Coloring, target: int,
-                   mask: Iterable[int]) -> tuple[RecoloringSequence, tuple[int, ...]]:
-    """Single promotion sweep toward `target` over the masked vertices.
-
-    Processes positions last to first, recoloring a vertex whenever no
-    neighbor currently holds `target`. Returns the steps and the set of
-    masked vertices holding `target` afterwards. When no masked vertex held
-    `target` initially and no neighbor outside the mask does either, that
-    set is the greedy maximal independent set of the masked subgraph in
-    processing order, independent of the coloring.
-    """
-    check_coloring(g, c, "input coloring")
-    mask_set = frozenset(mask)
-    if any(not 0 <= v < g.n for v in mask_set):
-        raise ValueError("mask contains out-of-range vertices")
-    state = _WalkState(g, c)
-    taken = tuple(sorted(_promote(state, ord_, mask_set, target)))
-    return _checked_walk(g, c, state.steps, c.k,
-                         lambda colors: all(colors[v] == target for v in taken),
-                         f"the promoted vertices on color {target}"), taken
-
-
 def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
                     c: Coloring, target: int, palette: Iterable[int],
                     mask: Iterable[int] | None = None,
@@ -320,10 +298,13 @@ def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
     """Recolor so `target` disappears from the masked part of the first
     `boundary` layers (a count in 1..p.t), touching nothing outside it.
 
-    `palette` must contain `target`, cover every color used on the mask, and
-    exceed the masked layer depth by at least 2. Callers passing a partial
-    mask must guarantee that unmasked vertices within the boundary hold
-    colors outside the palette.
+    `palette` must lie in 1..c.k, contain `target`, cover every color used
+    on the mask, and exceed the masked layer depth by at least 2. A partial
+    mask must leave every unmasked vertex within the boundary on a color
+    outside the palette, so it can never block a recoloring. Each of these
+    is checked before any step is built: ImproperInput for a masked color
+    outside the palette, PaletteTooSmall for the depth, ValueError for the
+    rest.
     """
     _checked_inputs(g, p, {"input coloring": c})
     if not 1 <= boundary <= p.t:
@@ -331,6 +312,9 @@ def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
     palette_set = frozenset(palette)
     if target not in palette_set:
         raise ValueError(f"target color {target} not in the palette")
+    outside = sorted(a for a in palette_set if not 1 <= a <= c.k)
+    if outside:
+        raise ValueError(f"palette color {outside[0]} outside 1..{c.k}")
     mask_set = (frozenset(range(g.n)) if mask is None else frozenset(mask))
     if any(not 0 <= v < g.n for v in mask_set):
         raise ValueError("mask contains out-of-range vertices")
@@ -338,55 +322,18 @@ def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
         if c.colors[v] not in palette_set:
             raise ImproperInput(
                 f"vertex {v} holds color {c.colors[v]} outside the palette")
-    state = _WalkState(g, c)
     ord_ = embedded_ordering(p)
-    _eliminate(state, ord_, boundary, target, palette_set, mask_set, trace)
-    scope = [v for v in mask_set if ord_.layer_of[v] < boundary]
+    layer_of = ord_.layer_of
+    for v in range(g.n):
+        if v not in mask_set and layer_of[v] < boundary and c.colors[v] in palette_set:
+            raise ValueError(f"unmasked vertex {v} inside the boundary holds "
+                             f"palette color {c.colors[v]}")
+    scope = frozenset(v for v in mask_set if layer_of[v] < boundary)
+    state = _WalkState(g, c)
+    _eliminate(state, ord_, target, palette_set, scope, trace)
     return _checked_walk(g, c, state.steps, c.k,
                          lambda colors: all(colors[v] != target for v in scope),
                          f"color {target} gone from the masked boundary")
-
-
-def clear_layer_color(g: Graph, p: DegreePartition, ord_: EmbeddedOrdering,
-                      c: Coloring, target: int, a: int, u: Iterable[int],
-                      w_a: Iterable[int], depth: int,
-                      trace: EliminationTrace | None = None) -> RecoloringSequence:
-    """One inner clearing call: move w_a from `target` to `a` using only
-    u | w_a, against the full palette {1..c.k}.
-
-    Preconditions (no vertex of u holds `target`; every w_a vertex holds
-    `target` and has no later-position neighbor colored `a`) are checked,
-    not assumed, and raise ValueError.
-    """
-    _checked_inputs(g, p, {"input coloring": c})
-    w_a_tuple = tuple(sorted(set(w_a)))
-    if not w_a_tuple:
-        return RecoloringSequence(c, ())
-    layer_of = ord_.layer_of
-    layers = {layer_of[v] for v in w_a_tuple}
-    if len(layers) != 1:
-        raise ValueError("w_a must lie within a single layer")
-    h = layers.pop()
-    u_set = frozenset(u)
-    if any(layer_of[v] >= h for v in u_set):
-        raise ValueError("u must lie in layers before the w_a layer")
-    if any(c.colors[v] == target for v in u_set):
-        raise ValueError(f"u must not hold the target color {target}")
-    pos = ord_.position_of
-    for v in w_a_tuple:
-        if c.colors[v] != target:
-            raise ValueError(f"w_a vertex {v} does not hold the target color {target}")
-        if any(c.colors[w] == a for w in g.adjacency[v] if pos[w] > pos[v]):
-            raise ValueError(f"w_a vertex {v} has a later-position neighbor colored {a}")
-    state = _WalkState(g, c)
-    palette = frozenset(range(1, c.k + 1))
-    _clear_layer(state, ord_, h, target, a, u_set, w_a_tuple, w_a_tuple,
-                 depth, palette, trace)
-    return _checked_walk(
-        g, c, state.steps, c.k,
-        lambda colors: (all(colors[v] == a for v in w_a_tuple)
-                        and all(colors[v] != target for v in u_set)),
-        f"w_a on color {a} and u free of color {target}")
 
 
 def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
@@ -403,7 +350,7 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
         raise PaletteTooSmall(
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, c)
-    _reduce(state, embedded_ordering(p), p.t, target_size, trace)
+    _reduce(state, embedded_ordering(p), target_size, trace)
     return _checked_walk(g, c, state.steps, k,
                          lambda colors: max(colors) <= target_size,
                          f"at most {target_size} colors")
@@ -428,8 +375,8 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     a_state = _WalkState(g, alpha)
     b_state = _WalkState(g, beta)
     for state in (a_state, b_state):
-        _reduce(state, ord_, p.t, p.s + 2, trace)
-    _between(a_state, b_state, p.t, ord_, frozenset(range(g.n)),
+        _reduce(state, ord_, p.s + 2, trace)
+    _between(a_state, b_state, ord_, frozenset(range(g.n)),
              frozenset(range(1, p.s + 3)), trace)
     steps = a_state.steps + [RecoloringStep(step.vertex, old) for step, old
                              in zip(reversed(b_state.steps), reversed(b_state.olds))]

@@ -62,13 +62,14 @@ class EmbeddedOrdering:
     """Layer-respecting vertex ordering, stored first layer first.
 
     Positions never decrease in layer index, and every vertex has at most s
-    neighbors at strictly later positions (same-layer neighbors cannot exist
-    because layers are independent sets).
+    neighbors in strictly later layers. Same-layer neighbors cannot exist
+    because layers are independent sets, so for adjacent vertices a later
+    position and a later layer are the same thing, and `layer_of` is all the
+    engine compares.
     """
 
     order: tuple[int, ...]
-    layer_of: tuple[int, ...]     # vertex -> 0-based layer index
-    position_of: tuple[int, ...]  # vertex -> index into `order`
+    layer_of: tuple[int, ...]  # vertex -> 0-based layer index
 
 
 def _greedy_low_degree_is(g: Graph, active: set[int], d: int) -> list[int]:
@@ -185,15 +186,11 @@ def embedded_ordering(p: DegreePartition) -> EmbeddedOrdering:
     order: list[int] = []
     for layer in p.layers:
         order.extend(sorted(layer))
-    n = len(order)
-    layer_of = [0] * n
+    layer_of = [0] * len(order)
     for i, layer in enumerate(p.layers):
         for v in layer:
             layer_of[v] = i
-    position_of = [0] * n
-    for pos, v in enumerate(order):
-        position_of[v] = pos
-    return EmbeddedOrdering(tuple(order), tuple(layer_of), tuple(position_of))
+    return EmbeddedOrdering(tuple(order), tuple(layer_of))
 
 
 def serialize_partition(p: DegreePartition) -> str:

@@ -8,6 +8,8 @@ guarded by a k^n cap (default 10^7).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import StateSpaceTooLarge
 from .graphs import Coloring, Graph, check_coloring
 
@@ -44,41 +46,26 @@ def decode_coloring(code: int, n: int, k: int) -> tuple[int, ...]:
 def count_proper_colorings(g: Graph, k: int, cap: int | None = None) -> int:
     """Number of proper k-colorings, by backtracking over vertices 0..n-1."""
     _checked_total(g, k, cap)
-    earlier = [[w for w in g.adjacency[v] if w < v] for v in range(g.n)]
-    colors = [0] * g.n
-
-    def count_from(v: int) -> int:
-        if v == g.n:
-            return 1
-        total = 0
-        for c in range(1, k + 1):
-            if all(colors[w] != c for w in earlier[v]):
-                colors[v] = c
-                total += count_from(v + 1)
-        colors[v] = 0
-        return total
-
-    return count_from(0)
+    return sum(1 for _ in _proper_codes(g, k))
 
 
-def _proper_codes(g: Graph, k: int) -> list[int]:
+def _proper_codes(g: Graph, k: int) -> Iterator[int]:
+    # Codes of the proper k-colorings, by backtracking over vertices 0..n-1.
     earlier = [[w for w in g.adjacency[v] if w < v] for v in range(g.n)]
     powers = [k ** v for v in range(g.n)]
     colors = [0] * g.n
-    out: list[int] = []
 
-    def extend(v: int, code: int) -> None:
+    def extend(v: int, code: int) -> Iterator[int]:
         if v == g.n:
-            out.append(code)
+            yield code
             return
         for c in range(1, k + 1):
             if all(colors[w] != c for w in earlier[v]):
                 colors[v] = c
-                extend(v + 1, code + (c - 1) * powers[v])
+                yield from extend(v + 1, code + (c - 1) * powers[v])
         colors[v] = 0
 
-    extend(0, 0)
-    return out
+    return extend(0, 0)
 
 
 def _bfs_levels(g: Graph, k: int, start: int, total: int,
@@ -140,7 +127,7 @@ def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
     colorings; meant for tiny instances only.
     """
     total = _checked_total(g, k, cap)
-    codes = _proper_codes(g, k)
+    codes = list(_proper_codes(g, k))
     if not codes:
         return None
     best = 0

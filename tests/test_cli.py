@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import recolorwalk.cli as cli
 from recolorwalk.cli import main
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -221,6 +222,25 @@ def test_report_is_deterministic(files, tmp_path, capsys):
     assert payload["outputs"]["sequence_length"] == 4
     assert "mad" in payload["outputs"]
     assert set(payload["inputs"]) == {"graph", "from", "to"}
+
+
+def test_report_written_on_an_unexpected_fault(files, tmp_path, capsys, monkeypatch):
+    # A fault outside the typed errors propagates unchanged, after the
+    # report is written with the exit status its traceback gives.
+    fault = RuntimeError("fault in mad")
+
+    def broken_mad(g):
+        raise fault
+    monkeypatch.setattr(cli, "mad_exact", broken_mad)
+    path = tmp_path / "report.json"
+    with pytest.raises(RuntimeError) as info:
+        main(["recolor", files("p3.txt", P3), files("from.txt", "1 2 1\n"),
+              files("to.txt", "2 1 2\n"), "-k", "3", "-d", "2", "--epsilon", "1/2",
+              "--report", str(path)])
+    assert info.value is fault
+    payload = json.loads(path.read_text())
+    assert payload["exit_status"] == 1
+    assert payload["outputs"]["sequence_length"] == 4
 
 
 def test_stdout_carries_only_the_answer(files, tmp_path, capsys):

@@ -26,12 +26,10 @@ from recolorwalk import (
     SpecialISParams,
     bfs_distance,
     build_degree_partition,
-    clear_layer_color,
     degree_partition_from_degeneracy,
     elim_bound,
     eliminate_color,
     embedded_ordering,
-    greedy_promote,
     recolor_between,
     recolor_theorem_pipeline,
     reduce_palette,
@@ -52,11 +50,22 @@ def steps_as_pairs(seq):
     return [(s.vertex, s.new_color) for s in seq.steps]
 
 
+def promote(g, ord_, c, target, mask):
+    # One greedy promotion sweep over a fresh walk state: its steps and the
+    # masked vertices left holding `target`.
+    state = engine._WalkState(g, c)
+    taken = tuple(sorted(engine._promote(state, ord_, frozenset(mask), target)))
+    return RecoloringSequence(c, tuple(state.steps)), taken
+
+
 class TestGreedyPromote:
+    # When no masked vertex holds `target` and no neighbor outside the mask
+    # does either, the promoted set is the greedy maximal independent set of
+    # the masked subgraph, scanned from the last position to the first.
     def test_path_center_wins(self):
         p3 = families.path_graph(3)
         ord_ = embedded_ordering(P3_PARTITION)
-        seq, taken = greedy_promote(p3, ord_, Coloring((1, 2, 1), 3), 3, range(3))
+        seq, taken = promote(p3, ord_, Coloring((1, 2, 1), 3), 3, range(3))
         assert steps_as_pairs(seq) == [(1, 3)]
         assert taken == (1,)
         verify_sequence(p3, seq.initial, seq, 3)
@@ -64,15 +73,15 @@ class TestGreedyPromote:
     def test_edgeless_promotes_everyone(self):
         g = families.empty_graph(4)
         p = DegreePartition(0, ((0, 1, 2, 3),))
-        seq, taken = greedy_promote(g, embedded_ordering(p), Coloring((1, 2, 1, 2), 3),
-                                    3, range(4))
+        seq, taken = promote(g, embedded_ordering(p), Coloring((1, 2, 1, 2), 3),
+                             3, range(4))
         assert taken == (0, 1, 2, 3)
         assert len(seq.steps) == 4
 
     def test_existing_maximal_set_means_no_steps(self):
         p3 = families.path_graph(3)
-        seq, taken = greedy_promote(p3, embedded_ordering(P3_PARTITION),
-                                    Coloring((1, 3, 1), 3), 3, range(3))
+        seq, taken = promote(p3, embedded_ordering(P3_PARTITION),
+                             Coloring((1, 3, 1), 3), 3, range(3))
         assert seq.steps == ()
         assert taken == (1,)
 
@@ -86,15 +95,10 @@ class TestGreedyPromote:
             c1 = families.random_proper_coloring(rng, g, 2)
             c2 = families.random_proper_coloring(rng, g, 2)
             mask = [v for v in range(g.n) if rng.random() < 0.7]
-            _, taken1 = greedy_promote(g, ord_, Coloring(c1.colors, 3), 3, mask)
-            _, taken2 = greedy_promote(g, ord_, Coloring(c2.colors, 3), 3, mask)
+            seq1, taken1 = promote(g, ord_, Coloring(c1.colors, 3), 3, mask)
+            _, taken2 = promote(g, ord_, Coloring(c2.colors, 3), 3, mask)
             assert taken1 == taken2
-
-    def test_rejects_improper_coloring(self):
-        p3 = families.path_graph(3)
-        with pytest.raises(ImproperInput):
-            greedy_promote(p3, embedded_ordering(P3_PARTITION),
-                           Coloring((1, 1, 2), 3), 3, range(3))
+            verify_sequence(g, seq1.initial, seq1, 3)
 
 
 class TestEliminateColor:
@@ -169,32 +173,34 @@ class TestEliminateColor:
             assert all(step.vertex in inside for step in seq.steps)
             assert all(final.colors[v] != target for v in inside)
 
+    # Each case changes one argument of a valid call; the call must raise
+    # ValueError at entry, before any walk is built.
+    @pytest.mark.parametrize("change,message", [
+        ({"c": Coloring((1, 2, 1), 2), "target": 1, "palette": {1, 2, 3, 4}},
+         "palette color 3 outside 1..2"),
+        ({"c": Coloring((2, 3, 1), 3), "mask": [1]},
+         "unmasked vertex 0 inside the boundary holds palette color 2"),
+        ({"boundary": 3}, "boundary 3 outside 1..2"),
+        ({"palette": {1, 2}}, "target color 3 not in the palette"),
+        ({"mask": [3]}, "mask contains out-of-range vertices"),
+    ], ids=["palette-above-k", "unmasked-palette-holder", "boundary", "target",
+            "mask-range"])
+    def test_preconditions_are_value_errors(self, change, message):
+        call = {"g": families.path_graph(3), "p": P3_PARTITION, "boundary": 2,
+                "c": Coloring((1, 2, 1), 3), "target": 3, "palette": {1, 2, 3},
+                "mask": None, **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eliminate_color(**call)
+
 
 class TestClearLayerColor:
     def test_base_case_single_step(self):
+        # one layer without edges: the inner clearing call recolors directly
         g = families.empty_graph(2)
         p = DegreePartition(0, ((0, 1),))
         c = Coloring((3, 1), 3)
-        seq = clear_layer_color(g, p, embedded_ordering(p), c, 3, 1, (), (0,), 0)
+        seq = eliminate_color(g, p, 1, c, 3, {1, 2, 3})
         assert steps_as_pairs(seq) == [(0, 1)]
-
-    def test_empty_w_a_is_a_no_op(self):
-        p3 = families.path_graph(3)
-        c = Coloring((1, 2, 1), 3)
-        seq = clear_layer_color(p3, P3_PARTITION, embedded_ordering(P3_PARTITION),
-                                c, 3, 2, (0, 2), (), 1)
-        assert seq.steps == ()
-
-    @pytest.mark.parametrize("colors,u,w_a,message", [
-        ((3, 1, 2), (0,), (1,), "u must not hold the target color 3"),
-        ((1, 2, 1), (), (0,), "w_a vertex 0 does not hold the target color 3"),
-        ((3, 2, 1), (), (0,), "w_a vertex 0 has a later-position neighbor colored 2"),
-    ], ids=["u-on-target", "w_a-off-target", "later-neighbor-on-a"])
-    def test_preconditions_are_value_errors(self, colors, u, w_a, message):
-        p3 = families.path_graph(3)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            clear_layer_color(p3, P3_PARTITION, embedded_ordering(P3_PARTITION),
-                              Coloring(colors, 3), 3, 2, u, w_a, 1)
 
     def test_general_path_clears_and_restores(self):
         # star with target on a leaf layer vertex and a blocking center
@@ -518,9 +524,6 @@ COLORING_CALLERS = {
     "eliminate_color": (
         lambda c: eliminate_color(_P3, P3_PARTITION, 2, c, 3, {1, 2, 3}),
         False, "input coloring"),
-    "greedy_promote": (
-        lambda c: greedy_promote(_P3, embedded_ordering(P3_PARTITION), c, 3, range(3)),
-        False, "input coloring"),
     "bfs_distance-alpha": (lambda c: bfs_distance(_P3, 3, c, _OTHER), True, "alpha"),
     "bfs_distance-beta": (lambda c: bfs_distance(_P3, 3, _OTHER, c), True, "beta"),
 }
@@ -547,10 +550,10 @@ PUBLIC_SURFACE = [
     "PaletteTooSmall", "RecolorStats", "RecoloringSequence", "RecoloringStep",
     "RecolorwalkError", "SequenceViolation", "SizeGuaranteeViolated",
     "SpecialISParams", "StateSpaceTooLarge", "WorkSets", "bfs_distance",
-    "build_degree_partition", "clear_layer_color", "count_proper_colorings",
+    "build_degree_partition", "count_proper_colorings",
     "decode_coloring", "degeneracy_ordering", "degree_partition_from_degeneracy",
     "elim_bound", "eliminate_color", "embedded_ordering", "encode_coloring",
-    "enumerate_special_is", "exact_diameter", "greedy_promote", "is_proper",
+    "enumerate_special_is", "exact_diameter", "is_proper",
     "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
     "partition_round_bound", "recolor_between", "recolor_theorem_pipeline",
     "reduce_palette", "sequence_stats", "serialize_coloring", "serialize_graph",
@@ -562,7 +565,7 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     # Growing or shrinking the exported names must show up in this list.
     assert sorted(recolorwalk.__all__) == PUBLIC_SURFACE
-    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 49
+    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 47
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
 
@@ -575,8 +578,7 @@ if __debug__:
 g = Graph.from_edges(3, [(0, 1), (1, 2)])
 p = DegreePartition(1, ((0, 2), (1,)))
 try:
-    seq = clear_layer_color(g, p, embedded_ordering(p), Coloring((1, 2, 1), 3),
-                            3, 2, (), [0], 1)
+    seq = eliminate_color(g, p, 2, Coloring((2, 3, 1), 3), 3, {1, 2, 3}, mask=[1])
 except (ValueError, SequenceViolation) as exc:
     print("raised", type(exc).__name__)
 else:
@@ -585,8 +587,8 @@ else:
 
 
 def test_walk_check_survives_python_O():
-    # Vertex 0 does not hold the target: with asserts stripped this call
-    # once returned the improper walk ((0, 2),).
+    # Unmasked vertices 0 and 2 hold palette colors, against the mask
+    # contract: the call must raise at entry, with asserts stripped too.
     src = str(Path(recolorwalk.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-O", "-c", _O_PROBE], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)

@@ -190,7 +190,6 @@ class TestEmbeddedOrdering:
         ord_ = embedded_ordering(p)
         assert ord_.order == (0, 2, 1, 3)
         assert ord_.layer_of == (0, 1, 0, 1)
-        assert ord_.position_of == (0, 2, 1, 3)
 
     def test_single_layer(self):
         p = DegreePartition(0, ((0, 1, 2),))
@@ -206,10 +205,11 @@ class TestEmbeddedOrdering:
             # positions never decrease in layer
             layers_in_order = [ord_a.layer_of[v] for v in ord_a.order]
             assert layers_in_order == sorted(layers_in_order)
-            # at most s neighbors at strictly later positions
+            # no neighbor in the same layer, at most s in strictly later ones
+            layer_of = ord_a.layer_of
             for v in range(g.n):
-                later = sum(1 for w in g.adjacency[v]
-                            if ord_a.position_of[w] > ord_a.position_of[v])
+                assert all(layer_of[w] != layer_of[v] for w in g.adjacency[v])
+                later = sum(1 for w in g.adjacency[v] if layer_of[w] > layer_of[v])
                 assert later <= p.s
 
 
