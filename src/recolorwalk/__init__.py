@@ -37,7 +37,6 @@ from .layering import (
     embedded_ordering,
     partition_round_bound,
     serialize_partition,
-    special_independent_set,
     validate_partition,
 )
 from .engine import (
@@ -109,7 +108,6 @@ __all__ = [
     "serialize_coloring",
     "serialize_graph",
     "serialize_partition",
-    "special_independent_set",
     "validate_partition",
     "verify_sequence",
     "walk_bound",

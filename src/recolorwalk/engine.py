@@ -63,20 +63,14 @@ class RecolorStats:
 class WorkSets:
     """Instrumentation snapshot of one inner layer-clearing call.
 
-    `w` is the still-target-colored part of the active layer when the call
-    started, `w_a` the part cleared by this call, `u` the masked vertices of
-    earlier layers. `depth` is the layer-depth budget of the enclosing
-    elimination; `inner_mask_later_degree` the largest within-mask
-    later-layer degree of u minus the promoted set (-1 when empty), which
-    the recursion requires to be strictly below `depth`.
+    `depth` is the layer-depth budget of the enclosing elimination. The two
+    promoted sets are the earlier-layer vertices that each promotion sweep
+    left on the target and on the replacement color; `w_a_recolor_counts`
+    the steps per cleared vertex, in ascending id; `inner_mask_later_degree`
+    the largest within-mask later-layer degree of the unpromoted rest (-1
+    when empty), which the recursion requires to be strictly below `depth`.
     """
 
-    layer: int
-    target: int
-    color: int
-    w: tuple[int, ...]
-    w_a: tuple[int, ...]
-    u: tuple[int, ...]
     depth: int
     promoted_to_target: tuple[int, ...]
     promoted_to_color: tuple[int, ...]
@@ -92,12 +86,21 @@ class EliminationTrace:
 
 
 class _WalkState:
-    """Mutable state: current colors, recorded steps, each step's old color."""
+    """One side of a walk under construction, plus the context that every
+    frame of the recursion shares: the graph's `adjacency`, the embedded
+    ordering's `order` and `layer_of`, and the `trace` (or None) that gets one
+    WorkSets per inner layer-clearing call. `colors` is the current coloring,
+    `steps` the recorded steps and `olds` each step's old color.
+    """
 
-    __slots__ = ("g", "colors", "steps", "olds")
+    __slots__ = ("adjacency", "layer_of", "order", "trace", "colors", "steps", "olds")
 
-    def __init__(self, g: Graph, start: Coloring):
-        self.g = g
+    def __init__(self, g: Graph, ord_: EmbeddedOrdering, start: Coloring,
+                 trace: EliminationTrace | None):
+        self.adjacency = g.adjacency
+        self.layer_of = ord_.layer_of
+        self.order = ord_.order
+        self.trace = trace
         self.colors = list(start.colors)
         self.steps: list[RecoloringStep] = []
         self.olds: list[int] = []
@@ -108,15 +111,14 @@ class _WalkState:
         self.colors[v] = color
 
 
-def _promote(state: _WalkState, ord_: EmbeddedOrdering, mask: frozenset[int],
-             target: int) -> frozenset[int]:
+def _promote(state: _WalkState, mask: frozenset[int], target: int) -> frozenset[int]:
     # Scan masked vertices from the last position toward the first,
     # recoloring each to `target` whenever no neighbor currently holds it;
     # return the masked vertices that hold `target` afterwards.
     taken = set()
     colors = state.colors
-    adjacency = state.g.adjacency
-    for v in reversed(ord_.order):
+    adjacency = state.adjacency
+    for v in reversed(state.order):
         if v not in mask:
             continue
         if colors[v] == target:
@@ -128,12 +130,13 @@ def _promote(state: _WalkState, ord_: EmbeddedOrdering, mask: frozenset[int],
     return frozenset(taken)
 
 
-def _later_degree(g: Graph, layer_of: tuple[int, ...], vertices: Iterable[int],
+def _later_degree(state: _WalkState, vertices: Iterable[int],
                   among: frozenset[int] | set[int]) -> int:
     # Largest number of neighbors in `among` at a strictly later layer, over
     # `vertices`; -1 when `vertices` is empty. For adjacent vertices a later
     # layer and a later position coincide.
-    adjacency = g.adjacency
+    adjacency = state.adjacency
+    layer_of = state.layer_of
     best = -1
     for v in vertices:
         lv = layer_of[v]
@@ -146,9 +149,8 @@ def _later_degree(g: Graph, layer_of: tuple[int, ...], vertices: Iterable[int],
     return best
 
 
-def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, target: int,
-               palette: frozenset[int], mask: frozenset[int],
-               trace: EliminationTrace | None) -> None:
+def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
+               mask: frozenset[int]) -> None:
     """Purge `target` from the masked vertices.
 
     One round per layer that holds `target` on the mask, lowest first. A
@@ -158,15 +160,15 @@ def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, target: int,
     """
     if not mask:
         return
-    layer_of = ord_.layer_of
+    layer_of = state.layer_of
     colors = state.colors
-    adjacency = state.g.adjacency
+    adjacency = state.adjacency
     # Neighbors that could ever hold a palette color during this call:
     # masked ones (they stay inside the palette) plus unmasked ones
     # currently colored from it.
     holders = {w for v in mask for w in adjacency[v]
                if w in mask or colors[w] in palette}
-    depth = max(_later_degree(state.g, layer_of, mask, holders), 0)
+    depth = max(_later_degree(state, mask, holders), 0)
     if len(palette) < depth + 2:
         raise PaletteTooSmall(
             f"palette of {len(palette)} colors cannot clear a color at layer "
@@ -183,15 +185,11 @@ def _eliminate(state: _WalkState, ord_: EmbeddedOrdering, target: int,
                                for w in adjacency[v] if layer_of[w] > h))
             if not w_a:
                 continue
-            _clear_layer(state, ord_, h, target, a, u_set, w_a, w_current,
-                         depth, palette, trace)
+            _clear_layer(state, target, a, u_set, w_a, depth, palette)
 
 
-def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
-                 target: int, a: int, u_set: frozenset[int],
-                 w_a: tuple[int, ...], w_current: tuple[int, ...], depth: int,
-                 palette: frozenset[int],
-                 trace: EliminationTrace | None) -> None:
+def _clear_layer(state: _WalkState, target: int, a: int, u_set: frozenset[int],
+                 w_a: tuple[int, ...], depth: int, palette: frozenset[int]) -> None:
     """Move the w_a vertices from `target` to `a`, recoloring only u_set | w_a.
 
     General shape: promote u toward `target` (freeing `a`-space below),
@@ -200,44 +198,34 @@ def _clear_layer(state: _WalkState, ord_: EmbeddedOrdering, h: int,
     u ends target-free again. When u | w_a has no internal forward edges the
     direct recoloring alone is already proper. `w_a` is sorted.
     """
-    g = state.g
-    layer_of = ord_.layer_of
     first = len(state.steps)
     members = u_set | set(w_a)
     # No later-layer edge inside u | w_a: the direct recoloring is safe.
-    if depth == 0 or _later_degree(g, layer_of, members, members) <= 0:
+    if depth == 0 or _later_degree(state, members, members) <= 0:
         for v in w_a:
             state.recolor(v, a)
         promoted_first = promoted_second = inner = frozenset()
     else:
-        promoted_first = _promote(state, ord_, u_set, target)
+        promoted_first = _promote(state, u_set, target)
         inner = u_set - promoted_first
-        _eliminate(state, ord_, a, palette - {target}, inner, trace)
+        _eliminate(state, a, palette - {target}, inner)
         for v in w_a:
             state.recolor(v, a)
-        promoted_second = _promote(state, ord_, u_set, a)
-        _eliminate(state, ord_, target, palette - {a},
-                   u_set - promoted_second, trace)
-    if trace is not None:
+        promoted_second = _promote(state, u_set, a)
+        _eliminate(state, target, palette - {a}, u_set - promoted_second)
+    if state.trace is not None:
         moved = Counter(step.vertex for step in state.steps[first:])
-        trace.claims.append(WorkSets(
-            layer=h,
-            target=target,
-            color=a,
-            w=w_current,
-            w_a=w_a,
-            u=tuple(sorted(u_set)),
+        state.trace.claims.append(WorkSets(
             depth=depth,
             promoted_to_target=tuple(sorted(promoted_first)),
             promoted_to_color=tuple(sorted(promoted_second)),
             w_a_recolor_counts=tuple(moved[v] for v in w_a),
-            inner_mask_later_degree=_later_degree(g, layer_of, inner, inner),
+            inner_mask_later_degree=_later_degree(state, inner, inner),
         ))
 
 
-def _between(a_state: _WalkState, b_state: _WalkState, ord_: EmbeddedOrdering,
-             mask: frozenset[int], palette: frozenset[int],
-             trace: EliminationTrace | None) -> None:
+def _between(a_state: _WalkState, b_state: _WalkState, mask: frozenset[int],
+             palette: frozenset[int]) -> None:
     """Drive both sides to a common coloring of the masked vertices.
 
     With two colors left the masked subgraph has no internal edges, so the
@@ -249,10 +237,10 @@ def _between(a_state: _WalkState, b_state: _WalkState, ord_: EmbeddedOrdering,
     """
     while mask and len(palette) > 2:
         target = max(palette)
-        _eliminate(a_state, ord_, target, palette, mask, trace)
-        _eliminate(b_state, ord_, target, palette, mask, trace)
-        promoted = _promote(a_state, ord_, mask, target)
-        _promote(b_state, ord_, mask, target)
+        _eliminate(a_state, target, palette, mask)
+        _eliminate(b_state, target, palette, mask)
+        promoted = _promote(a_state, mask, target)
+        _promote(b_state, mask, target)
         mask -= promoted
         palette -= {target}
     for v in sorted(mask):
@@ -260,15 +248,14 @@ def _between(a_state: _WalkState, b_state: _WalkState, ord_: EmbeddedOrdering,
             a_state.recolor(v, b_state.colors[v])
 
 
-def _reduce(state: _WalkState, ord_: EmbeddedOrdering, target_size: int,
-            trace: EliminationTrace | None) -> None:
+def _reduce(state: _WalkState, target_size: int) -> None:
     # Eliminate the largest color still held, against the palette of every
     # color up to it, until at most target_size colors remain. Eliminating j
     # only introduces colors below j, so a color nobody holds is skipped
     # where eliminating it would emit nothing.
-    mask = frozenset(range(state.g.n))
+    mask = frozenset(range(len(state.colors)))
     while (j := max(state.colors)) > target_size:
-        _eliminate(state, ord_, j, frozenset(range(1, j + 1)), mask, trace)
+        _eliminate(state, j, frozenset(range(1, j + 1)), mask)
 
 
 def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring],
@@ -329,8 +316,8 @@ def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
             raise ValueError(f"unmasked vertex {v} inside the boundary holds "
                              f"palette color {c.colors[v]}")
     scope = frozenset(v for v in mask_set if layer_of[v] < boundary)
-    state = _WalkState(g, c)
-    _eliminate(state, ord_, target, palette_set, scope, trace)
+    state = _WalkState(g, ord_, c, trace)
+    _eliminate(state, target, palette_set, scope)
     return _checked_walk(g, c, state.steps, c.k,
                          lambda colors: all(colors[v] != target for v in scope),
                          f"color {target} gone from the masked boundary")
@@ -349,8 +336,8 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
     if target_size < p.s + 2:
         raise PaletteTooSmall(
             f"target palette {target_size} below the required {p.s + 2}")
-    state = _WalkState(g, c)
-    _reduce(state, embedded_ordering(p), target_size, trace)
+    state = _WalkState(g, embedded_ordering(p), c, trace)
+    _reduce(state, target_size)
     return _checked_walk(g, c, state.steps, k,
                          lambda colors: max(colors) <= target_size,
                          f"at most {target_size} colors")
@@ -372,12 +359,11 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
         raise PaletteTooSmall(
             f"k = {k} but the partition needs at least {p.s + 2} colors")
     ord_ = embedded_ordering(p)
-    a_state = _WalkState(g, alpha)
-    b_state = _WalkState(g, beta)
+    a_state = _WalkState(g, ord_, alpha, trace)
+    b_state = _WalkState(g, ord_, beta, trace)
     for state in (a_state, b_state):
-        _reduce(state, ord_, p.s + 2, trace)
-    _between(a_state, b_state, ord_, frozenset(range(g.n)),
-             frozenset(range(1, p.s + 3)), trace)
+        _reduce(state, p.s + 2)
+    _between(a_state, b_state, frozenset(range(g.n)), frozenset(range(1, p.s + 3)))
     steps = a_state.steps + [RecoloringStep(step.vertex, old) for step, old
                              in zip(reversed(b_state.steps), reversed(b_state.olds))]
     return _checked_walk(g, alpha, steps, k,

@@ -30,19 +30,19 @@ class StateSpaceTooLarge(RecolorwalkError):
 
 
 class SizeGuaranteeViolated(RecolorwalkError):
-    """An extracted independent set fell short of its guaranteed size.
+    """A peeling round's independent set fell short of its guaranteed size.
 
     This is the symptom callers see when the density precondition
     (maximum average degree at most d - epsilon) does not hold.
+    `round_index` is the 1-based peeling round that fell short.
     """
 
     def __init__(self, achieved: int, threshold: int, residual_size: int,
-                 round_index: int | None = None):
-        where = f" in round {round_index}" if round_index is not None else ""
+                 round_index: int):
         super().__init__(
             f"independent set of size {achieved} is below the guaranteed "
             f"threshold {threshold} on a residual graph of {residual_size} "
-            f"vertices{where}; the density precondition likely fails"
+            f"vertices in round {round_index}; the density precondition likely fails"
         )
         self.achieved = achieved
         self.threshold = threshold

@@ -72,55 +72,34 @@ class EmbeddedOrdering:
     layer_of: tuple[int, ...]  # vertex -> 0-based layer index
 
 
-def _greedy_low_degree_is(g: Graph, active: set[int], d: int) -> list[int]:
-    # Candidates are the active vertices of residual degree <= d-1, scanned
-    # in ascending id; each pick blocks at most d - 1 later candidates.
-    chosen: list[int] = []
-    blocked: set[int] = set()
-    for v in sorted(active):
-        if v in blocked:
-            continue
-        residual_degree = sum(1 for w in g.adjacency[v] if w in active)
-        if residual_degree <= d - 1:
-            chosen.append(v)
-            blocked.update(g.adjacency[v])
-    return chosen
-
-
-def _extract_layer(g: Graph, active: set[int], params: SpecialISParams,
-                   round_index: int | None) -> tuple[int, ...]:
-    chosen = _greedy_low_degree_is(g, active, params.d)
-    need = params.threshold(len(active))
-    if len(chosen) < need:
-        raise SizeGuaranteeViolated(len(chosen), need, len(active), round_index)
-    return tuple(chosen)
-
-
-def special_independent_set(g: Graph, params: SpecialISParams) -> tuple[int, ...]:
-    """Independent set of vertices of degree <= d-1, of guaranteed size.
-
-    Greedy over low-degree vertices in ascending id order. Raises
-    SizeGuaranteeViolated when the result is smaller than
-    ceil(epsilon*n/d^2), the symptom of a density precondition failure.
-    """
-    return _extract_layer(g, set(range(g.n)), params, round_index=None)
-
-
 def build_degree_partition(g: Graph, params: SpecialISParams) -> DegreePartition:
     """Peel greedy low-degree independent sets until the graph is exhausted.
 
-    The result has s = d - 1. Each round shrinks an h-vertex residual to at
-    most h - ceil(epsilon*h/d^2) vertices, so the layer count never exceeds
-    partition_round_bound(n, params).
+    Each round takes the residual vertices of residual degree <= d-1 greedily
+    in ascending id. The result has s = d - 1. A round on h vertices must take
+    at least ceil(epsilon*h/d^2), so the layer count never exceeds
+    partition_round_bound(n, params); a round short of it raises
+    SizeGuaranteeViolated naming the round, the symptom of a failed density
+    precondition.
     """
     active = set(range(g.n))
     layers = []
-    round_index = 1
     while active:
-        layer = _extract_layer(g, active, params, round_index)
-        layers.append(layer)
+        # Each pick blocks at most d - 1 later candidates.
+        layer: list[int] = []
+        blocked: set[int] = set()
+        for v in sorted(active):
+            if v in blocked:
+                continue
+            residual_degree = sum(1 for w in g.adjacency[v] if w in active)
+            if residual_degree <= params.d - 1:
+                layer.append(v)
+                blocked.update(g.adjacency[v])
+        need = params.threshold(len(active))
+        if len(layer) < need:
+            raise SizeGuaranteeViolated(len(layer), need, len(active), len(layers) + 1)
+        layers.append(tuple(layer))
         active.difference_update(layer)
-        round_index += 1
     return DegreePartition(s=params.d - 1, layers=tuple(layers))
 
 

@@ -50,22 +50,24 @@ def count_proper_colorings(g: Graph, k: int, cap: int | None = None) -> int:
 
 
 def _proper_codes(g: Graph, k: int) -> Iterator[int]:
-    # Codes of the proper k-colorings, by backtracking over vertices 0..n-1.
+    # Codes of the proper k-colorings, by backtracking over vertices 0..n-1
+    # in ascending color order. A stack of (vertex, code so far, next color
+    # to try) stands in for recursion, so n is not capped by its limit.
     earlier = [[w for w in g.adjacency[v] if w < v] for v in range(g.n)]
     powers = [k ** v for v in range(g.n)]
     colors = [0] * g.n
-
-    def extend(v: int, code: int) -> Iterator[int]:
+    stack = [(0, 0, 1)]
+    while stack:
+        v, code, c = stack.pop()
         if v == g.n:
             yield code
-            return
-        for c in range(1, k + 1):
-            if all(colors[w] != c for w in earlier[v]):
-                colors[v] = c
-                yield from extend(v + 1, code + (c - 1) * powers[v])
-        colors[v] = 0
-
-    return extend(0, 0)
+            continue
+        while c <= k and any(colors[w] == c for w in earlier[v]):
+            c += 1
+        if c <= k:
+            colors[v] = c
+            stack.append((v, code, c + 1))
+            stack.append((v + 1, code + (c - 1) * powers[v], 1))
 
 
 def _bfs_levels(g: Graph, k: int, start: int, total: int,

@@ -1,4 +1,5 @@
-"""The names the benchmark under bench/ calls must exist in the package.
+"""The names the benchmark under bench/ calls must exist in the package,
+and the objects it gets back must carry the attributes it reads.
 
 A missing name stops `bench/run.py` only when someone runs it; these tests
 read the benchmark's files and fail as soon as the package drops a name.
@@ -7,9 +8,12 @@ read the benchmark's files and fail as soon as the package drops a name.
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import recolorwalk
+
+import families
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -35,3 +39,25 @@ def test_run_attributes_resolve():
             and node.value.id in ("rw", "recolorwalk")}
     assert "recolor_between" in used
     assert sorted(name for name in used if not hasattr(recolorwalk, name)) == []
+
+
+def test_run_reads_resolve_on_a_small_instance():
+    # What run.py reads off a partition, its peeling parameters, a traced
+    # walk and the walk's steps.
+    g = families.star_graph(3)
+    params = recolorwalk.SpecialISParams(d=2, epsilon=Fraction(1, 2))
+    part = recolorwalk.build_degree_partition(g, params)
+    assert part.s == 1 and part.t == len(part.layers) == 2
+    h = g.n
+    for layer in part.layers:
+        assert len(layer) >= params.threshold(h)
+        h -= len(layer)
+    alpha = recolorwalk.Coloring((1, 3, 2, 2), 3)
+    beta = recolorwalk.Coloring((2, 1, 1, 3), 3)
+    trace = recolorwalk.EliminationTrace()
+    seq = recolorwalk.recolor_between(g, part, alpha, beta, part.s + 2, trace=trace)
+    assert len(trace.claims) > 0
+    colors = list(alpha.colors)
+    for step in seq.steps:
+        colors[step.vertex] = step.new_color
+    assert tuple(colors) == beta.colors

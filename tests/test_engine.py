@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,8 +54,8 @@ def steps_as_pairs(seq):
 def promote(g, ord_, c, target, mask):
     # One greedy promotion sweep over a fresh walk state: its steps and the
     # masked vertices left holding `target`.
-    state = engine._WalkState(g, c)
-    taken = tuple(sorted(engine._promote(state, ord_, frozenset(mask), target)))
+    state = engine._WalkState(g, ord_, c, None)
+    taken = tuple(sorted(engine._promote(state, frozenset(mask), target)))
     return RecoloringSequence(c, tuple(state.steps)), taken
 
 
@@ -544,6 +545,35 @@ def test_coloring_check(caller, defect):
         call(coloring)
 
 
+def test_trace_observes_and_never_steers():
+    # Each producer returns the same steps with a trace as without one, and
+    # each traced producer records inner clearing calls somewhere.
+    rng = random.Random(4242)
+    claims = Counter()
+    for _ in range(40):
+        g = families.random_graph(rng, rng.randint(2, 10), rng.random() * 0.5)
+        p = degree_partition_from_degeneracy(g)
+        k = p.s + 3
+        alpha = families.random_proper_coloring(rng, g, k)
+        beta = families.random_proper_coloring(rng, g, k)
+        palette = frozenset(range(1, p.s + 3))
+        mask = [v for v in range(g.n) if alpha.colors[v] in palette]
+        boundary, target = rng.randint(1, p.t), rng.randint(1, p.s + 2)
+        calls = {
+            "recolor_between": lambda trace: recolor_between(
+                g, p, alpha, beta, k, trace=trace),
+            "reduce_palette": lambda trace: reduce_palette(
+                g, p, alpha, k, p.s + 2, trace=trace),
+            "eliminate_color": lambda trace: eliminate_color(
+                g, p, boundary, alpha, target, palette, mask=mask, trace=trace),
+        }
+        for name, call in calls.items():
+            trace = EliminationTrace()
+            assert call(trace).steps == call(None).steps, name
+            claims[name] += len(trace.claims)
+    assert all(claims[name] for name in calls), claims
+
+
 PUBLIC_SURFACE = [
     "Coloring", "DEFAULT_STATE_CAP", "DegreePartition", "EliminationTrace",
     "EmbeddedOrdering", "Graph", "GraphFormatError", "ImproperInput",
@@ -557,7 +587,7 @@ PUBLIC_SURFACE = [
     "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
     "partition_round_bound", "recolor_between", "recolor_theorem_pipeline",
     "reduce_palette", "sequence_stats", "serialize_coloring", "serialize_graph",
-    "serialize_partition", "special_independent_set", "validate_partition",
+    "serialize_partition", "validate_partition",
     "verify_sequence", "walk_bound",
 ]
 
@@ -565,7 +595,7 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     # Growing or shrinking the exported names must show up in this list.
     assert sorted(recolorwalk.__all__) == PUBLIC_SURFACE
-    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 47
+    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 46
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
 
@@ -602,11 +632,11 @@ def _corrupting_promote(monkeypatch):
     promote = engine._promote
     done = []
 
-    def corrupt(state, ord_, mask, target):
-        taken = promote(state, ord_, mask, target)
+    def corrupt(state, mask, target):
+        taken = promote(state, mask, target)
         if not done:
-            v = min(v for v in mask if state.g.adjacency[v])
-            state.recolor(v, state.colors[state.g.adjacency[v][0]])
+            v = min(v for v in mask if state.adjacency[v])
+            state.recolor(v, state.colors[state.adjacency[v][0]])
             done.append(v)
         return taken
     monkeypatch.setattr(engine, "_promote", corrupt)

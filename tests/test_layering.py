@@ -15,7 +15,6 @@ from recolorwalk import (
     enumerate_special_is,
     partition_round_bound,
     serialize_partition,
-    special_independent_set,
     validate_partition,
 )
 
@@ -48,13 +47,16 @@ class TestParams:
 
 
 class TestSpecialIndependentSet:
+    # The first peeling round: greedy low-degree independent set of the
+    # whole graph.
     def test_single_vertex(self):
-        got = special_independent_set(families.empty_graph(1), SpecialISParams(1, HALF))
+        got = build_degree_partition(families.empty_graph(1),
+                                     SpecialISParams(1, HALF)).layers[0]
         assert got == (0,)
 
     def test_path_on_four_vertices(self):
         p4 = families.path_graph(4)
-        got = special_independent_set(p4, SpecialISParams(2, HALF))
+        got = build_degree_partition(p4, SpecialISParams(2, HALF)).layers[0]
         assert got == (0, 3)
         # oracle cross-check: greedy output is a 1-independent set of the
         # guaranteed size
@@ -62,13 +64,13 @@ class TestSpecialIndependentSet:
         assert len(got) >= SpecialISParams(2, HALF).threshold(4)
 
     def test_two_edge_matching(self):
-        got = special_independent_set(families.two_edge_matching(),
-                                      SpecialISParams(2, HALF))
+        got = build_degree_partition(families.two_edge_matching(),
+                                     SpecialISParams(2, HALF)).layers[0]
         assert got == (0, 2)
 
     def test_dense_graph_fails_loudly(self):
         with pytest.raises(SizeGuaranteeViolated) as info:
-            special_independent_set(families.complete_graph(4), SpecialISParams(2, HALF))
+            build_degree_partition(families.complete_graph(4), SpecialISParams(2, HALF))
         assert info.value.achieved == 0
         assert info.value.threshold == 1
 
@@ -77,7 +79,7 @@ class TestSpecialIndependentSet:
         params = SpecialISParams(2, HALF)
         for _ in range(50):
             g = families.random_forest(rng, rng.randint(1, 12))
-            got = special_independent_set(g, params)
+            got = build_degree_partition(g, params).layers[0]
             all_sets = enumerate_special_is(g, 2)
             assert got in all_sets
             assert max(len(s) for s in all_sets) >= len(got)

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from recolorwalk import (
     enumerate_special_is,
     exact_diameter,
 )
+from recolorwalk.cli import main
 
 import families
 
@@ -47,6 +49,18 @@ class TestCount:
     def test_cap_enforced(self):
         with pytest.raises(StateSpaceTooLarge):
             count_proper_colorings(families.empty_graph(4), 2, cap=10)
+
+    def test_more_vertices_than_the_recursion_limit(self, tmp_path, capsys):
+        # With k = 1, k^n stays under the cap on any number of vertices, so
+        # the search must reach every vertex without one frame per vertex.
+        g = families.empty_graph(2000)
+        assert g.n > sys.getrecursionlimit()
+        assert count_proper_colorings(g, 1) == 1
+        assert exact_diameter(g, 1) == 0
+        graph = tmp_path / "g.txt"
+        graph.write_text("2000 0\n")
+        assert main(["oracle", str(graph), "-k", "1", "--count"]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 class TestDistance:
