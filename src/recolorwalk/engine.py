@@ -14,6 +14,9 @@ color. The code does not *rely* on that invariant for safety: every public
 walk producer replays its walk with `verify_sequence` and checks its
 promised end state before returning, so a fault surfaces as a
 SequenceViolation, also under `python -O`, rather than as an invalid walk.
+
+Masks are tuples in embedded order and palettes hold the colors in play, so
+a call costs what it owns, not the graph's size or the largest color value.
 """
 
 from __future__ import annotations
@@ -111,16 +114,14 @@ class _WalkState:
         self.colors[v] = color
 
 
-def _promote(state: _WalkState, mask: frozenset[int], target: int) -> frozenset[int]:
+def _promote(state: _WalkState, mask: tuple[int, ...], target: int) -> frozenset[int]:
     # Scan masked vertices from the last position toward the first,
     # recoloring each to `target` whenever no neighbor currently holds it;
     # return the masked vertices that hold `target` afterwards.
     taken = set()
     colors = state.colors
     adjacency = state.adjacency
-    for v in reversed(state.order):
-        if v not in mask:
-            continue
+    for v in reversed(mask):
         if colors[v] == target:
             taken.add(v)
             continue
@@ -150,7 +151,7 @@ def _later_degree(state: _WalkState, vertices: Iterable[int],
 
 
 def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
-               mask: frozenset[int]) -> None:
+               mask: tuple[int, ...]) -> None:
     """Purge `target` from the masked vertices.
 
     One round per layer that holds `target` on the mask, lowest first. A
@@ -166,31 +167,31 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     # Neighbors that could ever hold a palette color during this call:
     # masked ones (they stay inside the palette) plus unmasked ones
     # currently colored from it.
+    members = set(mask)
     holders = {w for v in mask for w in adjacency[v]
-               if w in mask or colors[w] in palette}
+               if w in members or colors[w] in palette}
     depth = max(_later_degree(state, mask, holders), 0)
     if len(palette) < depth + 2:
         raise PaletteTooSmall(
             f"palette of {len(palette)} colors cannot clear a color at layer "
             f"depth {depth}; at least {depth + 2} colors are needed")
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
-        u_set = frozenset(v for v in mask if layer_of[v] < h)
+        u = tuple(v for v in mask if layer_of[v] < h)
+        w = [v for v in mask if layer_of[v] == h and colors[v] == target]
         for a in sorted(palette - {target}):
-            w_current = tuple(v for v in sorted(mask)
-                              if layer_of[v] == h and colors[v] == target)
-            if not w_current:
+            if not w:
                 break
-            w_a = tuple(v for v in w_current
-                        if all(colors[w] != a
-                               for w in adjacency[v] if layer_of[w] > h))
+            w_a = tuple(v for v in w
+                        if all(colors[x] != a for x in adjacency[v] if layer_of[x] > h))
             if not w_a:
                 continue
-            _clear_layer(state, target, a, u_set, w_a, depth, palette)
+            _clear_layer(state, target, a, u, w_a, depth, palette)
+            w = [v for v in w if colors[v] == target]
 
 
-def _clear_layer(state: _WalkState, target: int, a: int, u_set: frozenset[int],
+def _clear_layer(state: _WalkState, target: int, a: int, u: tuple[int, ...],
                  w_a: tuple[int, ...], depth: int, palette: frozenset[int]) -> None:
-    """Move the w_a vertices from `target` to `a`, recoloring only u_set | w_a.
+    """Move the w_a vertices from `target` to `a`, recoloring only u | w_a.
 
     General shape: promote u toward `target` (freeing `a`-space below),
     recursively purge `a` from the unpromoted rest, recolor w_a directly,
@@ -199,20 +200,20 @@ def _clear_layer(state: _WalkState, target: int, a: int, u_set: frozenset[int],
     direct recoloring alone is already proper. `w_a` is sorted.
     """
     first = len(state.steps)
-    members = u_set | set(w_a)
+    members = set(u).union(w_a)
     # No later-layer edge inside u | w_a: the direct recoloring is safe.
     if depth == 0 or _later_degree(state, members, members) <= 0:
         for v in w_a:
             state.recolor(v, a)
         promoted_first = promoted_second = inner = frozenset()
     else:
-        promoted_first = _promote(state, u_set, target)
-        inner = u_set - promoted_first
+        promoted_first = _promote(state, u, target)
+        inner = tuple(v for v in u if v not in promoted_first)
         _eliminate(state, a, palette - {target}, inner)
         for v in w_a:
             state.recolor(v, a)
-        promoted_second = _promote(state, u_set, a)
-        _eliminate(state, target, palette - {a}, u_set - promoted_second)
+        promoted_second = _promote(state, u, a)
+        _eliminate(state, target, palette - {a}, tuple(v for v in u if v not in promoted_second))
     if state.trace is not None:
         moved = Counter(step.vertex for step in state.steps[first:])
         state.trace.claims.append(WorkSets(
@@ -220,11 +221,11 @@ def _clear_layer(state: _WalkState, target: int, a: int, u_set: frozenset[int],
             promoted_to_target=tuple(sorted(promoted_first)),
             promoted_to_color=tuple(sorted(promoted_second)),
             w_a_recolor_counts=tuple(moved[v] for v in w_a),
-            inner_mask_later_degree=_later_degree(state, inner, inner),
+            inner_mask_later_degree=_later_degree(state, inner, set(inner)),
         ))
 
 
-def _between(a_state: _WalkState, b_state: _WalkState, mask: frozenset[int],
+def _between(a_state: _WalkState, b_state: _WalkState, mask: tuple[int, ...],
              palette: frozenset[int]) -> None:
     """Drive both sides to a common coloring of the masked vertices.
 
@@ -241,21 +242,20 @@ def _between(a_state: _WalkState, b_state: _WalkState, mask: frozenset[int],
         _eliminate(b_state, target, palette, mask)
         promoted = _promote(a_state, mask, target)
         _promote(b_state, mask, target)
-        mask -= promoted
+        mask = tuple(v for v in mask if v not in promoted)
         palette -= {target}
-    for v in sorted(mask):
-        if a_state.colors[v] != b_state.colors[v]:
-            a_state.recolor(v, b_state.colors[v])
+    for v in sorted(v for v in mask if a_state.colors[v] != b_state.colors[v]):
+        a_state.recolor(v, b_state.colors[v])
 
 
 def _reduce(state: _WalkState, target_size: int) -> None:
-    # Eliminate the largest color still held, against the palette of every
-    # color up to it, until at most target_size colors remain. Eliminating j
-    # only introduces colors below j, so a color nobody holds is skipped
-    # where eliminating it would emit nothing.
-    mask = frozenset(range(len(state.colors)))
+    # Eliminate the largest color held, against 1..target_size plus the colors
+    # held, until at most target_size colors remain. Replacements are tried in
+    # ascending order and 1..target_size clears every layer, so a color nobody
+    # holds is never needed: it is neither eliminated nor a replacement.
     while (j := max(state.colors)) > target_size:
-        _eliminate(state, j, frozenset(range(1, j + 1)), mask)
+        _eliminate(state, j, frozenset(state.colors).union(range(1, target_size + 1)),
+                   state.order)
 
 
 def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring],
@@ -315,7 +315,7 @@ def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
         if v not in mask_set and layer_of[v] < boundary and c.colors[v] in palette_set:
             raise ValueError(f"unmasked vertex {v} inside the boundary holds "
                              f"palette color {c.colors[v]}")
-    scope = frozenset(v for v in mask_set if layer_of[v] < boundary)
+    scope = tuple(v for v in ord_.order if v in mask_set and layer_of[v] < boundary)
     state = _WalkState(g, ord_, c, trace)
     _eliminate(state, target, palette_set, scope)
     return _checked_walk(g, c, state.steps, c.k,
@@ -363,7 +363,7 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     b_state = _WalkState(g, ord_, beta, trace)
     for state in (a_state, b_state):
         _reduce(state, p.s + 2)
-    _between(a_state, b_state, frozenset(range(g.n)), frozenset(range(1, p.s + 3)))
+    _between(a_state, b_state, ord_.order, frozenset(range(1, p.s + 3)))
     steps = a_state.steps + [RecoloringStep(step.vertex, old) for step, old
                              in zip(reversed(b_state.steps), reversed(b_state.olds))]
     return _checked_walk(g, alpha, steps, k,

@@ -12,6 +12,7 @@ enters a comparison. Text formats:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -182,23 +183,28 @@ def check_coloring(g: Graph, c: Coloring, name: str, k: int | None = None) -> No
 def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     """Ordering v_1..v_n where each v_i has at most `degeneracy` earlier neighbors.
 
-    Repeatedly removes a minimum-degree vertex (lowest id on ties); the
-    returned ordering is the reverse of the removal order, and the
-    degeneracy is the largest degree seen at removal time.
+    Repeatedly removes a minimum-degree vertex (lowest id on ties), popped
+    from a heap of (degree, id) entries: each decrement pushes a smaller
+    entry, which pops before the vertex's stale ones, so the first entry of a
+    vertex to pop is current and the rest are skipped. The returned ordering
+    is the reverse of the removal order, and the degeneracy is the largest
+    degree seen at removal time.
     """
     degree = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
+    heap = sorted((d, v) for v, d in enumerate(degree))
     removal = []
-    degeneracy = 0
-    for _ in range(g.n):
-        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (degree[u], u))
-        degeneracy = max(degeneracy, degree[v])
-        alive[v] = False
-        removal.append(v)
-        for w in g.adjacency[v]:
-            if alive[w]:
-                degree[w] -= 1
-    return tuple(reversed(removal)), degeneracy
+    while heap:
+        v = heapq.heappop(heap)[1]
+        if alive[v]:
+            alive[v] = False
+            removal.append(v)
+            for w in g.adjacency[v]:
+                if alive[w]:
+                    degree[w] -= 1
+                    heapq.heappush(heap, (degree[w], w))
+    # A removed vertex's degree stays the one it had at removal.
+    return tuple(reversed(removal)), max(degree, default=0)
 
 
 def mad_brute(g: Graph) -> Fraction:

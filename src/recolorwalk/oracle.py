@@ -21,10 +21,11 @@ _ENUMERATION_LIMIT = 20
 def _checked_total(g: Graph, k: int, cap: int | None) -> int:
     if k < 1:
         raise ValueError("k must be positive")
-    total = k ** g.n
     limit = DEFAULT_STATE_CAP if cap is None else cap
+    # For k >= 2, k^(bits of the cap + 1) already exceeds the cap: stop there.
+    total = k ** min(g.n, limit.bit_length() + 1)
     if total > limit:
-        raise StateSpaceTooLarge(f"k^n = {total} exceeds the state cap {limit}")
+        raise StateSpaceTooLarge(f"k^n = {k}^{g.n} exceeds the state cap {limit}")
     return total
 
 

@@ -1,10 +1,12 @@
 import ast
+import hashlib
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -55,7 +57,9 @@ def promote(g, ord_, c, target, mask):
     # One greedy promotion sweep over a fresh walk state: its steps and the
     # masked vertices left holding `target`.
     state = engine._WalkState(g, ord_, c, None)
-    taken = tuple(sorted(engine._promote(state, frozenset(mask), target)))
+    masked = set(mask)
+    ordered = tuple(v for v in ord_.order if v in masked)
+    taken = tuple(sorted(engine._promote(state, ordered, target)))
     return RecoloringSequence(c, tuple(state.steps)), taken
 
 
@@ -274,6 +278,96 @@ class TestDeclaredPalette:
             alpha = families.random_proper_coloring(rng, g, 6)
             beta = families.random_proper_coloring(rng, g, 6)
             self.assert_k_independent(g, p, alpha, beta)
+
+    def test_huge_color_value(self):
+        # One vertex on color 10^6: the palette holds the colors in play, so
+        # the cost does not follow the color's value.
+        p3 = families.path_graph(3)
+        p = build_degree_partition(p3, SpecialISParams(2, HALF))
+        k = 10 ** 6
+        tracemalloc.start()
+        try:
+            seq = recolor_between(p3, p, Coloring((1, k, 1), k), Coloring((2, 1, 2), k), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps_as_pairs(seq) == [(0, 2), (2, 2), (1, 1), (1, 3), (1, 1)]
+        assert peak < 2 ** 20
+
+    def test_sparse_colors_match_their_compaction(self):
+        # Colors above s + 2 spread over 1..HUGE_K give the walks of their
+        # order-preserving compaction, mapped back.
+        rng = random.Random(2001)
+        for _ in range(40):
+            g = families.random_graph(rng, rng.randint(2, 14), rng.random() * 0.5)
+            p = degree_partition_from_degeneracy(g)
+            low = p.s + 2
+            sparse = [_sparse_coloring(rng, families.random_proper_coloring(rng, g, p.s + 5),
+                                       low, self.HUGE_K) for _ in range(2)]
+            high = sorted({c for d in sparse for c in d.colors if c > low})
+            back = dict(enumerate(high, start=low + 1))
+            rank = {c: i for i, c in back.items()}
+            k = low + len(high)
+            compact = [Coloring(tuple(rank.get(c, c) for c in d.colors), k) for d in sparse]
+
+            def mapped(seq):
+                return [(v, back.get(c, c)) for v, c in steps_as_pairs(seq)]
+            assert (steps_as_pairs(recolor_between(g, p, *sparse, self.HUGE_K))
+                    == mapped(recolor_between(g, p, *compact, k)))
+            for c_sparse, c_compact in zip(sparse, compact):
+                assert (steps_as_pairs(reduce_palette(g, p, c_sparse, self.HUGE_K, low))
+                        == mapped(reduce_palette(g, p, c_compact, k, low)))
+
+
+def _sparse_coloring(rng, c, low, k):
+    # Spread the colors above `low` over low+1..k, keeping their order.
+    high = sorted({x for x in c.colors if x > low})
+    spread = dict(zip(high, sorted(rng.sample(range(low + 1, k + 1), len(high)))))
+    return Coloring(tuple(spread.get(x, x) for x in c.colors), k)
+
+
+def walk_corpus_digest():
+    """sha256 over the traced `recolor_between` walks of a fixed seeded corpus.
+
+    Ten instances each of trees (d=3, k=4), forests (d=2, k=3), degeneracy
+    partitions with k = s+5, and degeneracy partitions with the colors above
+    s+2 spread up to 2,000; the hash covers every step and every claim.
+    """
+    rng = random.Random(6061)
+    digest = hashlib.sha256()
+    for i in range(40):
+        kind = i % 4
+        if kind == 0:
+            g = families.random_tree(rng, rng.randint(2, 40))
+            p, k = build_degree_partition(g, SpecialISParams(3, HALF)), 4
+        elif kind == 1:
+            g = families.random_forest(rng, rng.randint(2, 40))
+            p, k = build_degree_partition(g, SpecialISParams(2, HALF)), 3
+        else:
+            g = families.random_graph(rng, rng.randint(2, 20), rng.uniform(0.05, 0.4))
+            p = degree_partition_from_degeneracy(g)
+            k = p.s + 5
+        alpha = families.random_proper_coloring(rng, g, k)
+        beta = families.random_proper_coloring(rng, g, k)
+        if kind == 3:
+            k = 2000
+            alpha, beta = (_sparse_coloring(rng, c, p.s + 2, k) for c in (alpha, beta))
+        trace = EliminationTrace()
+        seq = recolor_between(g, p, alpha, beta, k, trace=trace)
+        digest.update(repr(steps_as_pairs(seq)).encode())
+        digest.update(repr([(w.depth, w.promoted_to_target, w.promoted_to_color,
+                             w.w_a_recolor_counts, w.inner_mask_later_degree)
+                            for w in trace.claims]).encode())
+    return digest.hexdigest()
+
+
+# A change that alters emitted walks on purpose updates this constant and
+# quotes the old and the new digest in CHANGES.md.
+PINNED_WALK_DIGEST = "e7f70404f441dba7aae7c7aa7acf722588e318f0f1cd6a98ae02e2f1c41e6d66"
+
+
+def test_walks_match_the_pinned_digest():
+    assert walk_corpus_digest() == PINNED_WALK_DIGEST
 
 
 class TestRecolorBetween:

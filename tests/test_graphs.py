@@ -153,6 +153,35 @@ class TestDegeneracy:
             assert back <= degeneracy
             assert degeneracy == degeneracy_brute(g)
 
+    def test_agrees_with_the_quadratic_scan(self):
+        # The heap must remove the same vertex as a full scan for the
+        # smallest (degree, id), on random graphs, ties and complete graphs.
+        rng = random.Random(182)
+        cases = [families.random_graph(rng, rng.randint(1, 40), rng.random())
+                 for _ in range(200)]
+        cases += [families.empty_graph(9), families.cycle_graph(12),
+                  families.star_graph(7), families.petersen_graph()]
+        cases += [families.complete_graph(n) for n in range(1, 9)]
+        for g in cases:
+            assert degeneracy_ordering(g) == degeneracy_scan(g)
+
+
+def degeneracy_scan(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Reference: scan every live vertex for the smallest (degree, id)."""
+    degree = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    removal = []
+    degeneracy = 0
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (degree[u], u))
+        degeneracy = max(degeneracy, degree[v])
+        alive[v] = False
+        removal.append(v)
+        for w in g.adjacency[v]:
+            if alive[w]:
+                degree[w] -= 1
+    return tuple(reversed(removal)), degeneracy
+
 
 class TestMad:
     def test_brute_trivial_values(self):

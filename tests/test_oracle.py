@@ -62,6 +62,23 @@ class TestCount:
         assert main(["oracle", str(graph), "-k", "1", "--count"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_cap_on_a_huge_power(self):
+        # 10^5000 is never multiplied out, nor printed in full.
+        with pytest.raises(StateSpaceTooLarge,
+                           match=r"^k\^n = 10\^5000 exceeds the state cap 10000000$"):
+            count_proper_colorings(families.empty_graph(5000), 10)
+
+    @pytest.mark.parametrize("mode", ["--count", "--diameter", "--distance"])
+    def test_cli_cap_on_a_huge_power(self, mode, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("5000 0\n")
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("1 " * 5000 + "\n")
+        extra = [str(coloring), str(coloring)] if mode == "--distance" else []
+        assert main(["oracle", str(graph), "-k", "10", mode, *extra]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) < 200, err
+
 
 class TestDistance:
     def test_identical_colorings(self):
