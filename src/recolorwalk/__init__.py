@@ -46,7 +46,6 @@ from .engine import (
     RecoloringStep,
     WorkSets,
     elim_bound,
-    eliminate_color,
     recolor_between,
     recolor_theorem_pipeline,
     reduce_palette,
@@ -90,7 +89,6 @@ __all__ = [
     "degeneracy_ordering",
     "degree_partition_from_degeneracy",
     "elim_bound",
-    "eliminate_color",
     "embedded_ordering",
     "encode_coloring",
     "enumerate_special_is",

@@ -10,9 +10,10 @@ Recursion never materializes subgraphs. Each recursive call receives a
 vertex mask, already cut to the layers it may touch, and recolors masked
 vertices only; unmasked vertices in those layers always hold colors outside
 the call's palette, so they can never block a recoloring to a palette
-color. The code does not *rely* on that invariant for safety: every public
-walk producer replays its walk with `verify_sequence` and checks its
-promised end state before returning, so a fault surfaces as a
+color. The code does not *rely* on that invariant for safety: the two public
+walk producers, `reduce_palette` and `recolor_between` (which
+`recolor_theorem_pipeline` wraps), replay their walk with `verify_sequence`
+and check its promised end state before returning, so a fault surfaces as a
 SequenceViolation, also under `python -O`, rather than as an invalid walk.
 
 Masks are tuples in embedded order and palettes hold the colors in play, so
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import ImproperInput, PaletteTooSmall, SequenceViolation
+from .errors import PaletteTooSmall, SequenceViolation
 from .graphs import Coloring, Graph, check_coloring
 from .layering import (
     DegreePartition,
@@ -259,7 +260,7 @@ def _reduce(state: _WalkState, target_size: int) -> None:
 
 
 def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring],
-                    k: int | None = None) -> None:
+                    k: int) -> None:
     problem = validate_partition(g, p)
     if problem is not None:
         raise ValueError(f"invalid partition: {problem}")
@@ -278,65 +279,19 @@ def _checked_walk(g: Graph, start: Coloring, steps: Iterable[RecoloringStep],
     return seq
 
 
-def eliminate_color(g: Graph, p: DegreePartition, boundary: int,
-                    c: Coloring, target: int, palette: Iterable[int],
-                    mask: Iterable[int] | None = None,
-                    trace: EliminationTrace | None = None) -> RecoloringSequence:
-    """Recolor so `target` disappears from the masked part of the first
-    `boundary` layers (a count in 1..p.t), touching nothing outside it.
-
-    `palette` must lie in 1..c.k, contain `target`, cover every color used
-    on the mask, and exceed the masked layer depth by at least 2. A partial
-    mask must leave every unmasked vertex within the boundary on a color
-    outside the palette, so it can never block a recoloring. Each of these
-    is checked before any step is built: ImproperInput for a masked color
-    outside the palette, PaletteTooSmall for the depth, ValueError for the
-    rest.
-    """
-    _checked_inputs(g, p, {"input coloring": c})
-    if not 1 <= boundary <= p.t:
-        raise ValueError(f"boundary {boundary} outside 1..{p.t}")
-    palette_set = frozenset(palette)
-    if target not in palette_set:
-        raise ValueError(f"target color {target} not in the palette")
-    outside = sorted(a for a in palette_set if not 1 <= a <= c.k)
-    if outside:
-        raise ValueError(f"palette color {outside[0]} outside 1..{c.k}")
-    mask_set = (frozenset(range(g.n)) if mask is None else frozenset(mask))
-    if any(not 0 <= v < g.n for v in mask_set):
-        raise ValueError("mask contains out-of-range vertices")
-    for v in sorted(mask_set):
-        if c.colors[v] not in palette_set:
-            raise ImproperInput(
-                f"vertex {v} holds color {c.colors[v]} outside the palette")
-    ord_ = embedded_ordering(p)
-    layer_of = ord_.layer_of
-    for v in range(g.n):
-        if v not in mask_set and layer_of[v] < boundary and c.colors[v] in palette_set:
-            raise ValueError(f"unmasked vertex {v} inside the boundary holds "
-                             f"palette color {c.colors[v]}")
-    scope = tuple(v for v in ord_.order if v in mask_set and layer_of[v] < boundary)
-    state = _WalkState(g, ord_, c, trace)
-    _eliminate(state, target, palette_set, scope)
-    return _checked_walk(g, c, state.steps, c.k,
-                         lambda colors: all(colors[v] != target for v in scope),
-                         f"color {target} gone from the masked boundary")
-
-
 def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
-                   target_size: int,
-                   trace: EliminationTrace | None = None) -> RecoloringSequence:
+                   target_size: int) -> RecoloringSequence:
     """Eliminate colors k, k-1, ..., target_size+1 from the whole graph,
     skipping those no vertex holds when their turn comes.
 
     Bridges an arbitrary palette down to the target_size >= s+2 colors the
     walk recursion wants.
     """
-    _checked_inputs(g, p, {"input coloring": c}, k=k)
+    _checked_inputs(g, p, {"input coloring": c}, k)
     if target_size < p.s + 2:
         raise PaletteTooSmall(
             f"target palette {target_size} below the required {p.s + 2}")
-    state = _WalkState(g, embedded_ordering(p), c, trace)
+    state = _WalkState(g, embedded_ordering(p), c, None)
     _reduce(state, target_size)
     return _checked_walk(g, c, state.steps, k,
                          lambda colors: max(colors) <= target_size,
@@ -354,7 +309,7 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     followed by the beta-side steps reversed, each reversed step restoring
     the color the vertex held before that step.
     """
-    _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k=k)
+    _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
     if k < p.s + 2:
         raise PaletteTooSmall(
             f"k = {k} but the partition needs at least {p.s + 2} colors")

@@ -18,7 +18,7 @@ class GraphFormatError(RecolorwalkError):
 
 
 class ImproperInput(RecolorwalkError):
-    """An input coloring is improper, or leaves its declared palette."""
+    """An input coloring is improper."""
 
 
 class PaletteTooSmall(RecolorwalkError):

@@ -168,13 +168,13 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return all(cols[u] != cols[v] for u, v in g.edges())
 
 
-def check_coloring(g: Graph, c: Coloring, name: str, k: int | None = None) -> None:
-    """Reject a coloring of the wrong length (ValueError), of a palette other
-    than k when k is given (ValueError), or improper (ImproperInput); every
+def check_coloring(g: Graph, c: Coloring, name: str, k: int) -> None:
+    """Reject a coloring of the wrong length (ValueError), of a declared
+    palette other than k (ValueError), or improper (ImproperInput); every
     message names the coloring."""
     if len(c.colors) != g.n:
         raise ValueError(f"{name} has {len(c.colors)} entries for {g.n} vertices")
-    if k is not None and c.k != k:
+    if c.k != k:
         raise ValueError(f"{name} declares palette {c.k}, expected {k}")
     if not is_proper(g, c):
         raise ImproperInput(f"{name} is not a proper coloring")

@@ -3,7 +3,7 @@
 States are encoded in base k with vertex 0 least significant; searches
 generate neighbors in ascending vertex order, then ascending color order, so
 every answer is deterministic. Everything here is desk-scale machinery
-guarded by a k^n cap (default 10^7).
+guarded by a cap (default 10^7) on k^n, times the colorings for the diameter.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ DEFAULT_STATE_CAP = 10 ** 7
 _ENUMERATION_LIMIT = 20
 
 
-def _checked_total(g: Graph, k: int, cap: int | None) -> int:
+def _checked_total(g: Graph, k: int, cap: int | None) -> tuple[int, int]:
+    # (k^n, the cap in force), or StateSpaceTooLarge when k^n exceeds the cap.
     if k < 1:
         raise ValueError("k must be positive")
     limit = DEFAULT_STATE_CAP if cap is None else cap
@@ -26,7 +27,7 @@ def _checked_total(g: Graph, k: int, cap: int | None) -> int:
     total = k ** min(g.n, limit.bit_length() + 1)
     if total > limit:
         raise StateSpaceTooLarge(f"k^n = {k}^{g.n} exceeds the state cap {limit}")
-    return total
+    return total, limit
 
 
 def encode_coloring(colors, k: int) -> int:
@@ -111,7 +112,7 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
                  cap: int | None = None) -> int | None:
     """Exact shortest walk length between two proper colorings, or None
     when they lie in different components."""
-    total = _checked_total(g, k, cap)
+    total, _ = _checked_total(g, k, cap)
     check_coloring(g, alpha, "alpha", k)
     check_coloring(g, beta, "beta", k)
     start = encode_coloring(alpha.colors, k)
@@ -126,11 +127,17 @@ def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
     """Largest pairwise distance among proper colorings, or None when the
     walk space is disconnected (including the vacuous no-colorings case).
 
-    Runs one BFS per proper coloring, so it is quadratic in the number of
-    colorings; meant for tiny instances only.
+    Runs one BFS over the k^n states per proper coloring, so the cap bounds
+    colorings x k^n: StateSpaceTooLarge as soon as the colorings listed so
+    far times k^n exceed it. Meant for tiny instances only.
     """
-    total = _checked_total(g, k, cap)
-    codes = list(_proper_codes(g, k))
+    total, limit = _checked_total(g, k, cap)
+    codes = []
+    for code in _proper_codes(g, k):
+        codes.append(code)
+        if len(codes) * total > limit:
+            raise StateSpaceTooLarge(f"at least {len(codes)} colorings x k^n = {k}^{g.n} "
+                                     f"states exceed the state cap {limit}")
     if not codes:
         return None
     best = 0

@@ -1,10 +1,18 @@
-"""Deterministic graph and coloring builders shared by the test suite."""
+"""Deterministic graph and coloring builders shared by the test suite, and
+the `eliminate` helper that reaches the engine's private color elimination."""
 
 from __future__ import annotations
 
 import random
 
-from recolorwalk import Coloring, Graph, degeneracy_ordering
+import recolorwalk.engine as engine
+from recolorwalk import (
+    Coloring,
+    Graph,
+    RecoloringSequence,
+    degeneracy_ordering,
+    embedded_ordering,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -105,3 +113,18 @@ def random_proper_coloring(rng: random.Random, g: Graph, k: int) -> Coloring:
         allowed = [c for c in range(1, k + 1) if c not in used]
         colors[v] = rng.choice(allowed)
     return Coloring(tuple(colors), k)
+
+
+def eliminate(g, p, boundary, c, target, palette, mask=None, trace=None) -> RecoloringSequence:
+    """Purge `target` from the masked vertices of the first `boundary` layers
+    (every vertex when `mask` is None) with the engine's `_eliminate`.
+
+    Unchecked: callers pass a proper coloring whose masked colors lie in the
+    palette, and replay the returned walk with `verify_sequence`.
+    """
+    ord_ = embedded_ordering(p)
+    masked = set(range(g.n) if mask is None else mask)
+    scope = tuple(v for v in ord_.order if v in masked and ord_.layer_of[v] < boundary)
+    state = engine._WalkState(g, ord_, c, trace)
+    engine._eliminate(state, target, frozenset(palette), scope)
+    return RecoloringSequence(c, tuple(state.steps))

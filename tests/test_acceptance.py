@@ -27,7 +27,6 @@ from recolorwalk import (
     build_degree_partition,
     count_proper_colorings,
     degree_partition_from_degeneracy,
-    eliminate_color,
     exact_diameter,
     mad_brute,
     mad_exact,
@@ -43,6 +42,7 @@ from recolorwalk import (
 from recolorwalk.cli import main as cli_main
 
 import families
+from families import eliminate
 
 HALF = Fraction(1, 2)
 
@@ -158,8 +158,7 @@ def test_criterion_4_elimination_locality():
         c = families.random_proper_coloring(rng, g, k)
         boundary = rng.randint(1, partition.t)
         target = rng.randint(1, k)
-        seq = eliminate_color(g, partition, boundary, c,
-                              target, range(1, k + 1))
+        seq = eliminate(g, partition, boundary, c, target, range(1, k + 1))
         final = verify_sequence(g, c, seq, k)
         stats = sequence_stats(seq)
         inside = {v for layer in partition.layers[:boundary] for v in layer}

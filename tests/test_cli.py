@@ -205,6 +205,14 @@ def test_oracle_cap_from_environment(files, capsys, monkeypatch):
     assert main(["oracle", files("p3.txt", P3), "-k", "3", "--count"]) == 3
 
 
+def test_oracle_diameter_cap_counts_colorings(files, capsys, monkeypatch):
+    # k^n = 100 fits the cap, but one search per coloring charges 100 x 100.
+    monkeypatch.setenv("RECOLOR_STATE_CAP", "1000")
+    assert main(["oracle", files("g.txt", "2 0\n"), "-k", "10", "--diameter"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_report_is_deterministic(files, tmp_path, capsys):
     graph = files("p3.txt", P3)
     frm = files("from.txt", "1 2 1\n")

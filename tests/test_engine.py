@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from recolorwalk import (
     build_degree_partition,
     degree_partition_from_degeneracy,
     elim_bound,
-    eliminate_color,
     embedded_ordering,
     recolor_between,
     recolor_theorem_pipeline,
@@ -43,6 +41,7 @@ from recolorwalk import (
 from recolorwalk.cli import main
 
 import families
+from families import eliminate
 
 HALF = Fraction(1, 2)
 
@@ -110,33 +109,26 @@ class TestEliminateColor:
     def test_path_trace(self):
         p3 = families.path_graph(3)
         c = Coloring((3, 1, 3), 3)
-        seq = eliminate_color(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
+        seq = eliminate(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
         assert steps_as_pairs(seq) == [(0, 2), (2, 2)]
         assert verify_sequence(p3, c, seq, 3).colors == (2, 1, 2)
 
     def test_no_target_means_no_steps(self):
         p3 = families.path_graph(3)
         c = Coloring((1, 2, 1), 3)
-        seq = eliminate_color(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
+        seq = eliminate(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
         assert seq.steps == ()
 
     def test_boundary_restricts_the_purge(self):
         p3 = families.path_graph(3)
         c = Coloring((1, 3, 1), 3)  # target only in layer 2
-        seq = eliminate_color(p3, P3_PARTITION, 1, c, 3, {1, 2, 3})
+        seq = eliminate(p3, P3_PARTITION, 1, c, 3, {1, 2, 3})
         assert seq.steps == ()
 
     def test_palette_too_small(self):
         p3 = families.path_graph(3)
         with pytest.raises(PaletteTooSmall):
-            eliminate_color(p3, P3_PARTITION, 2,
-                            Coloring((1, 2, 1), 2), 2, {1, 2})
-
-    def test_mask_color_outside_palette(self):
-        p3 = families.path_graph(3)
-        with pytest.raises(ImproperInput, match="outside the palette"):
-            eliminate_color(p3, P3_PARTITION, 2,
-                            Coloring((1, 2, 3), 3), 1, {1, 2})
+            eliminate(p3, P3_PARTITION, 2, Coloring((1, 2, 1), 2), 2, {1, 2})
 
     def test_locality_on_random_layered_boundaries(self):
         rng = random.Random(414)
@@ -147,8 +139,7 @@ class TestEliminateColor:
             c = families.random_proper_coloring(rng, g, k)
             boundary = rng.randint(1, p.t)
             target = rng.randint(1, k)
-            seq = eliminate_color(g, p, boundary, c,
-                                  target, range(1, k + 1))
+            seq = eliminate(g, p, boundary, c, target, range(1, k + 1))
             final = verify_sequence(g, c, seq, k)
             inside = {v for layer in p.layers[:boundary] for v in layer}
             assert all(step.vertex in inside for step in seq.steps)
@@ -171,31 +162,11 @@ class TestEliminateColor:
                 continue
             boundary = rng.randint(1, p.t)
             target = rng.randint(1, p.s + 2)
-            seq = eliminate_color(g, p, boundary, c,
-                                  target, palette, mask=mask)
+            seq = eliminate(g, p, boundary, c, target, palette, mask=mask)
             final = verify_sequence(g, c, seq, k)
             inside = {v for layer in p.layers[:boundary] for v in layer} & set(mask)
             assert all(step.vertex in inside for step in seq.steps)
             assert all(final.colors[v] != target for v in inside)
-
-    # Each case changes one argument of a valid call; the call must raise
-    # ValueError at entry, before any walk is built.
-    @pytest.mark.parametrize("change,message", [
-        ({"c": Coloring((1, 2, 1), 2), "target": 1, "palette": {1, 2, 3, 4}},
-         "palette color 3 outside 1..2"),
-        ({"c": Coloring((2, 3, 1), 3), "mask": [1]},
-         "unmasked vertex 0 inside the boundary holds palette color 2"),
-        ({"boundary": 3}, "boundary 3 outside 1..2"),
-        ({"palette": {1, 2}}, "target color 3 not in the palette"),
-        ({"mask": [3]}, "mask contains out-of-range vertices"),
-    ], ids=["palette-above-k", "unmasked-palette-holder", "boundary", "target",
-            "mask-range"])
-    def test_preconditions_are_value_errors(self, change, message):
-        call = {"g": families.path_graph(3), "p": P3_PARTITION, "boundary": 2,
-                "c": Coloring((1, 2, 1), 3), "target": 3, "palette": {1, 2, 3},
-                "mask": None, **change}
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            eliminate_color(**call)
 
 
 class TestClearLayerColor:
@@ -204,7 +175,7 @@ class TestClearLayerColor:
         g = families.empty_graph(2)
         p = DegreePartition(0, ((0, 1),))
         c = Coloring((3, 1), 3)
-        seq = eliminate_color(g, p, 1, c, 3, {1, 2, 3})
+        seq = eliminate(g, p, 1, c, 3, {1, 2, 3})
         assert steps_as_pairs(seq) == [(0, 1)]
 
     def test_general_path_clears_and_restores(self):
@@ -214,8 +185,7 @@ class TestClearLayerColor:
         ord_ = embedded_ordering(p)
         c = Coloring((1, 3, 2, 2), 3)
         trace = EliminationTrace()
-        seq = eliminate_color(g, p, 2, c, 3, {1, 2, 3},
-                              trace=trace)
+        seq = eliminate(g, p, 2, c, 3, {1, 2, 3}, trace=trace)
         final = verify_sequence(g, c, seq, 3)
         assert 3 not in final.colors
         assert trace.claims, "expected at least one inner clearing call"
@@ -234,8 +204,7 @@ class TestReducePalette:
         p3 = families.path_graph(3)
         c4 = Coloring((4, 1, 4), 4)
         reduced = reduce_palette(p3, P3_PARTITION, c4, 4, 3)
-        direct = eliminate_color(p3, P3_PARTITION, 2,
-                                 c4, 4, {1, 2, 3, 4})
+        direct = eliminate(p3, P3_PARTITION, 2, c4, 4, {1, 2, 3, 4})
         assert reduced.steps == direct.steps
 
     def test_edgeless_down_to_two(self):
@@ -361,13 +330,35 @@ def walk_corpus_digest():
     return digest.hexdigest()
 
 
-# A change that alters emitted walks on purpose updates this constant and
-# quotes the old and the new digest in CHANGES.md.
+def reduce_corpus_digest():
+    """sha256 over the `reduce_palette` walks of a fixed seeded corpus.
+
+    Forty degeneracy partitions with k = s+5, the colors above s+2 spread up
+    to 2,000, each coloring reduced to s+2 colors.
+    """
+    rng = random.Random(6062)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        g = families.random_graph(rng, rng.randint(2, 20), rng.uniform(0.05, 0.4))
+        p = degree_partition_from_degeneracy(g)
+        c = _sparse_coloring(rng, families.random_proper_coloring(rng, g, p.s + 5),
+                             p.s + 2, 2000)
+        digest.update(repr(steps_as_pairs(reduce_palette(g, p, c, 2000, p.s + 2))).encode())
+    return digest.hexdigest()
+
+
+# A change that alters emitted walks on purpose updates these constants and
+# quotes the old and the new digests in CHANGES.md.
 PINNED_WALK_DIGEST = "e7f70404f441dba7aae7c7aa7acf722588e318f0f1cd6a98ae02e2f1c41e6d66"
+PINNED_REDUCE_DIGEST = "b54a14f58e13003c129a10b909c33dfaa5959504e372817770032fb4783dcaab"
 
 
 def test_walks_match_the_pinned_digest():
     assert walk_corpus_digest() == PINNED_WALK_DIGEST
+
+
+def test_reductions_match_the_pinned_digest():
+    assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
 
 
 class TestRecolorBetween:
@@ -604,23 +595,20 @@ class TestBounds:
 
 
 # Every entry point that takes a coloring checks it the same way: a wrong
-# length or (where the call takes k) a wrong declared palette is a
-# ValueError, an improper coloring is ImproperInput, and each message names
-# the coloring. Callers: name -> (call on the coloring, takes k, name).
+# length or a wrong declared palette is a ValueError, an improper coloring is
+# ImproperInput, and each message names the coloring. Callers: name -> (call
+# on the coloring, name).
 _P3 = families.path_graph(3)
 _OTHER = Coloring((2, 1, 2), 3)
 COLORING_CALLERS = {
     "recolor_between-alpha": (
-        lambda c: recolor_between(_P3, P3_PARTITION, c, _OTHER, 3), True, "alpha"),
+        lambda c: recolor_between(_P3, P3_PARTITION, c, _OTHER, 3), "alpha"),
     "recolor_between-beta": (
-        lambda c: recolor_between(_P3, P3_PARTITION, _OTHER, c, 3), True, "beta"),
+        lambda c: recolor_between(_P3, P3_PARTITION, _OTHER, c, 3), "beta"),
     "reduce_palette": (
-        lambda c: reduce_palette(_P3, P3_PARTITION, c, 3, 3), True, "input coloring"),
-    "eliminate_color": (
-        lambda c: eliminate_color(_P3, P3_PARTITION, 2, c, 3, {1, 2, 3}),
-        False, "input coloring"),
-    "bfs_distance-alpha": (lambda c: bfs_distance(_P3, 3, c, _OTHER), True, "alpha"),
-    "bfs_distance-beta": (lambda c: bfs_distance(_P3, 3, _OTHER, c), True, "beta"),
+        lambda c: reduce_palette(_P3, P3_PARTITION, c, 3, 3), "input coloring"),
+    "bfs_distance-alpha": (lambda c: bfs_distance(_P3, 3, c, _OTHER), "alpha"),
+    "bfs_distance-beta": (lambda c: bfs_distance(_P3, 3, _OTHER, c), "beta"),
 }
 BAD_COLORINGS = {
     "length": (Coloring((1, 2), 3), ValueError, "has 2 entries for 3 vertices"),
@@ -630,42 +618,31 @@ BAD_COLORINGS = {
 
 
 @pytest.mark.parametrize("caller,defect", [
-    (caller, defect) for caller, (_, takes_k, _) in COLORING_CALLERS.items()
-    for defect in BAD_COLORINGS if defect != "palette" or takes_k])
+    (caller, defect) for caller in COLORING_CALLERS for defect in BAD_COLORINGS])
 def test_coloring_check(caller, defect):
-    call, _, name = COLORING_CALLERS[caller]
+    call, name = COLORING_CALLERS[caller]
     coloring, error, message = BAD_COLORINGS[defect]
     with pytest.raises(error, match=f"^{re.escape(f'{name} {message}')}$"):
         call(coloring)
 
 
 def test_trace_observes_and_never_steers():
-    # Each producer returns the same steps with a trace as without one, and
-    # each traced producer records inner clearing calls somewhere.
+    # `recolor_between` returns the same steps with a trace as without one,
+    # and records inner clearing calls somewhere. With k = s+3 the trace
+    # covers the palette reduction's calls as well as the walk's.
     rng = random.Random(4242)
-    claims = Counter()
+    claims = 0
     for _ in range(40):
         g = families.random_graph(rng, rng.randint(2, 10), rng.random() * 0.5)
         p = degree_partition_from_degeneracy(g)
         k = p.s + 3
         alpha = families.random_proper_coloring(rng, g, k)
         beta = families.random_proper_coloring(rng, g, k)
-        palette = frozenset(range(1, p.s + 3))
-        mask = [v for v in range(g.n) if alpha.colors[v] in palette]
-        boundary, target = rng.randint(1, p.t), rng.randint(1, p.s + 2)
-        calls = {
-            "recolor_between": lambda trace: recolor_between(
-                g, p, alpha, beta, k, trace=trace),
-            "reduce_palette": lambda trace: reduce_palette(
-                g, p, alpha, k, p.s + 2, trace=trace),
-            "eliminate_color": lambda trace: eliminate_color(
-                g, p, boundary, alpha, target, palette, mask=mask, trace=trace),
-        }
-        for name, call in calls.items():
-            trace = EliminationTrace()
-            assert call(trace).steps == call(None).steps, name
-            claims[name] += len(trace.claims)
-    assert all(claims[name] for name in calls), claims
+        trace = EliminationTrace()
+        traced = recolor_between(g, p, alpha, beta, k, trace=trace)
+        assert traced.steps == recolor_between(g, p, alpha, beta, k).steps
+        claims += len(trace.claims)
+    assert claims
 
 
 PUBLIC_SURFACE = [
@@ -676,7 +653,7 @@ PUBLIC_SURFACE = [
     "SpecialISParams", "StateSpaceTooLarge", "WorkSets", "bfs_distance",
     "build_degree_partition", "count_proper_colorings",
     "decode_coloring", "degeneracy_ordering", "degree_partition_from_degeneracy",
-    "elim_bound", "eliminate_color", "embedded_ordering", "encode_coloring",
+    "elim_bound", "embedded_ordering", "encode_coloring",
     "enumerate_special_is", "exact_diameter", "is_proper",
     "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
     "partition_round_bound", "recolor_between", "recolor_theorem_pipeline",
@@ -689,20 +666,33 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     # Growing or shrinking the exported names must show up in this list.
     assert sorted(recolorwalk.__all__) == PUBLIC_SURFACE
-    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 46
+    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 45
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
 
 
 _O_PROBE = """
 import sys
+import recolorwalk.engine as engine
 from recolorwalk import *
 if __debug__:
     sys.exit("asserts are still on")
+promote = engine._promote
+done = []
+
+def corrupt(state, mask, target):
+    taken = promote(state, mask, target)
+    if not done:
+        v = min(v for v in mask if state.adjacency[v])
+        state.recolor(v, state.colors[state.adjacency[v][0]])
+        done.append(v)
+    return taken
+
+engine._promote = corrupt
 g = Graph.from_edges(3, [(0, 1), (1, 2)])
 p = DegreePartition(1, ((0, 2), (1,)))
 try:
-    seq = eliminate_color(g, p, 2, Coloring((2, 3, 1), 3), 3, {1, 2, 3}, mask=[1])
+    seq = recolor_between(g, p, Coloring((1, 2, 1), 3), Coloring((2, 1, 2), 3), 3)
 except (ValueError, SequenceViolation) as exc:
     print("raised", type(exc).__name__)
 else:
@@ -711,13 +701,14 @@ else:
 
 
 def test_walk_check_survives_python_O():
-    # Unmasked vertices 0 and 2 hold palette colors, against the mask
-    # contract: the call must raise at entry, with asserts stripped too.
+    # The first promotion sweep also records a step that copies a neighbor's
+    # color, as `_corrupting_promote` does: the exit replay must reject the
+    # walk with asserts stripped too.
     src = str(Path(recolorwalk.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-O", "-c", _O_PROBE], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised ValueError\n"
+    assert result.stdout == "raised SequenceViolation\n"
 
 
 def _corrupting_promote(monkeypatch):

@@ -133,6 +133,12 @@ class TestDiameter:
     def test_no_colorings_at_all(self):
         assert exact_diameter(families.complete_graph(3), 2) is None
 
+    def test_cap_counts_colorings_times_states(self):
+        # k^n = 100 fits the cap, but one search per coloring charges 100 x 100.
+        with pytest.raises(StateSpaceTooLarge, match=r"^at least 11 colorings x k\^n = "
+                           r"10\^2 states exceed the state cap 1000$"):
+            exact_diameter(families.empty_graph(2), 10, cap=1000)
+
     def test_matches_pairwise_maximum(self):
         g = families.path_graph(3)
         k = 3
