@@ -168,7 +168,7 @@ def _cmd_recolor(args, report: dict) -> int:
     payload = _stats_payload(stats, partition, g.n)
     if args.out:
         _write_output(args.out, "sequence",
-                      "".join(f"{step.vertex} {step.new_color}\n" for step in seq.steps))
+                      "".join(f"{v} {c}\n" for v, c in zip(seq.vertices, seq.new_colors)))
     if args.stats:
         _write_output(args.stats, "stats",
                       json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")

@@ -18,6 +18,13 @@ SequenceViolation, also under `python -O`, rather than as an invalid walk.
 
 Masks are tuples in embedded order and palettes hold the colors in play, so
 a call costs what it owns, not the graph's size or the largest color value.
+
+A walk stays flat from construction to output: each side records its steps
+as three int lists (vertex, new color, old color), the two-sided walk is the
+alpha side's vertices and new colors followed by the beta side's vertices
+and old colors reversed, and a `RecoloringSequence` holds the vertices and
+new colors as two tuples. No per-step object is built unless a caller asks
+for `RecoloringSequence.steps`.
 """
 
 from __future__ import annotations
@@ -48,12 +55,25 @@ class RecoloringStep:
 class RecoloringSequence:
     """A walk in the space of proper colorings, anchored at `initial`.
 
-    Every prefix application yields a proper coloring, and no step recolors
-    a vertex to the color it already has.
+    Step i recolors `vertices[i]` to `new_colors[i]`; the two tuples have
+    equal length (ValueError otherwise). Every prefix application yields a
+    proper coloring, and no step recolors a vertex to the color it already
+    has. `steps` builds the `RecoloringStep` view on demand, one object per
+    step, on each access.
     """
 
     initial: Coloring
-    steps: tuple[RecoloringStep, ...]
+    vertices: tuple[int, ...]
+    new_colors: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.vertices) != len(self.new_colors):
+            raise ValueError(f"{len(self.vertices)} vertices for "
+                             f"{len(self.new_colors)} new colors")
+
+    @property
+    def steps(self) -> tuple[RecoloringStep, ...]:
+        return tuple(map(RecoloringStep, self.vertices, self.new_colors))
 
 
 @dataclass(frozen=True)
@@ -93,11 +113,12 @@ class _WalkState:
     """One side of a walk under construction, plus the context that every
     frame of the recursion shares: the graph's `adjacency`, the embedded
     ordering's `order` and `layer_of`, and the `trace` (or None) that gets one
-    WorkSets per inner layer-clearing call. `colors` is the current coloring,
-    `steps` the recorded steps and `olds` each step's old color.
+    WorkSets per inner layer-clearing call. `colors` is the current coloring;
+    step i recolored `vertices[i]` from `olds[i]` to `new[i]`.
     """
 
-    __slots__ = ("adjacency", "layer_of", "order", "trace", "colors", "steps", "olds")
+    __slots__ = ("adjacency", "layer_of", "order", "trace", "colors",
+                 "vertices", "new", "olds")
 
     def __init__(self, g: Graph, ord_: EmbeddedOrdering, start: Coloring,
                  trace: EliminationTrace | None):
@@ -106,11 +127,13 @@ class _WalkState:
         self.order = ord_.order
         self.trace = trace
         self.colors = list(start.colors)
-        self.steps: list[RecoloringStep] = []
+        self.vertices: list[int] = []
+        self.new: list[int] = []
         self.olds: list[int] = []
 
     def recolor(self, v: int, color: int) -> None:
-        self.steps.append(RecoloringStep(v, color))
+        self.vertices.append(v)
+        self.new.append(color)
         self.olds.append(self.colors[v])
         self.colors[v] = color
 
@@ -118,16 +141,26 @@ class _WalkState:
 def _promote(state: _WalkState, mask: tuple[int, ...], target: int) -> frozenset[int]:
     # Scan masked vertices from the last position toward the first,
     # recoloring each to `target` whenever no neighbor currently holds it;
-    # return the masked vertices that hold `target` afterwards.
+    # return the masked vertices that hold `target` afterwards. The sweeps
+    # make most of a walk's steps, so they record them inline rather than
+    # through `state.recolor`.
     taken = set()
     colors = state.colors
     adjacency = state.adjacency
+    vertices, new, olds = state.vertices, state.new, state.olds
     for v in reversed(mask):
-        if colors[v] == target:
+        old = colors[v]
+        if old == target:
             taken.add(v)
             continue
-        if all(colors[w] != target for w in adjacency[v]):
-            state.recolor(v, target)
+        for w in adjacency[v]:
+            if colors[w] == target:
+                break
+        else:
+            vertices.append(v)
+            new.append(target)
+            olds.append(old)
+            colors[v] = target
             taken.add(v)
     return frozenset(taken)
 
@@ -200,7 +233,7 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: tuple[int, ...],
     u ends target-free again. When u | w_a has no internal forward edges the
     direct recoloring alone is already proper. `w_a` is sorted.
     """
-    first = len(state.steps)
+    first = len(state.vertices)
     members = set(u).union(w_a)
     # No later-layer edge inside u | w_a: the direct recoloring is safe.
     if depth == 0 or _later_degree(state, members, members) <= 0:
@@ -216,7 +249,7 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: tuple[int, ...],
         promoted_second = _promote(state, u, a)
         _eliminate(state, target, palette - {a}, tuple(v for v in u if v not in promoted_second))
     if state.trace is not None:
-        moved = Counter(step.vertex for step in state.steps[first:])
+        moved = Counter(state.vertices[first:])
         state.trace.claims.append(WorkSets(
             depth=depth,
             promoted_to_target=tuple(sorted(promoted_first)),
@@ -268,14 +301,12 @@ def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring]
         check_coloring(g, c, name, k)
 
 
-def _checked_walk(g: Graph, start: Coloring, steps: Iterable[RecoloringStep],
-                  k: int, ends: Callable[[tuple[int, ...]], bool],
-                  goal: str) -> RecoloringSequence:
+def _checked_walk(g: Graph, seq: RecoloringSequence, k: int,
+                  ends: Callable[[tuple[int, ...]], bool], goal: str) -> RecoloringSequence:
     """Exit of every public walk producer: replay the walk in {1..k} and
     check its last coloring with `ends`; SequenceViolation on either failure."""
-    seq = RecoloringSequence(start, tuple(steps))
-    if not ends(verify_sequence(g, start, seq, k).colors):
-        raise SequenceViolation(len(seq.steps), f"walk does not end with {goal}")
+    if not ends(verify_sequence(g, seq.initial, seq, k).colors):
+        raise SequenceViolation(len(seq.vertices), f"walk does not end with {goal}")
     return seq
 
 
@@ -293,7 +324,8 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, embedded_ordering(p), c, None)
     _reduce(state, target_size)
-    return _checked_walk(g, c, state.steps, k,
+    seq = RecoloringSequence(c, tuple(state.vertices), tuple(state.new))
+    return _checked_walk(g, seq, k,
                          lambda colors: max(colors) <= target_size,
                          f"at most {target_size} colors")
 
@@ -319,10 +351,14 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     for state in (a_state, b_state):
         _reduce(state, p.s + 2)
     _between(a_state, b_state, ord_.order, frozenset(range(1, p.s + 3)))
-    steps = a_state.steps + [RecoloringStep(step.vertex, old) for step, old
-                             in zip(reversed(b_state.steps), reversed(b_state.olds))]
-    return _checked_walk(g, alpha, steps, k,
-                         lambda colors: colors == beta.colors, "beta")
+    # The walk reads the alpha side's new colors and the beta side's old
+    # colors; freeing the other two records first lets the copies below
+    # reuse their memory.
+    a_state.olds.clear()
+    b_state.new.clear()
+    seq = RecoloringSequence(alpha, tuple(a_state.vertices + b_state.vertices[::-1]),
+                             tuple(a_state.new + b_state.olds[::-1]))
+    return _checked_walk(g, seq, k, lambda colors: colors == beta.colors, "beta")
 
 
 def recolor_theorem_pipeline(
@@ -346,9 +382,13 @@ def verify_sequence(g: Graph, alpha: Coloring,
     """Replay a step list from alpha, checking every walk rule.
 
     Raises SequenceViolation naming the first offending step (index -1 for
-    a bad initial coloring); returns the final coloring on success.
+    a bad initial coloring); returns the final coloring on success. A
+    `RecoloringSequence` is replayed from its flat tuples, with no per-step
+    object; any other iterable of `RecoloringStep` is replayed by reading
+    each step's fields. The two loops make the same checks in the same
+    order: turning the steps into pairs for one loop slowed the step-object
+    replay by a quarter.
     """
-    steps = seq.steps if isinstance(seq, RecoloringSequence) else tuple(seq)
     if len(alpha.colors) != g.n:
         raise ValueError(f"coloring has {len(alpha.colors)} entries for {g.n} vertices")
     colors = list(alpha.colors)
@@ -358,7 +398,23 @@ def verify_sequence(g: Graph, alpha: Coloring,
     for u, v in g.edges():
         if colors[u] == colors[v]:
             raise SequenceViolation(-1, f"initial coloring improper on edge ({u}, {v})")
-    for i, step in enumerate(steps):
+    if isinstance(seq, RecoloringSequence):
+        n = g.n
+        adjacency = g.adjacency
+        for i, (v, c) in enumerate(zip(seq.vertices, seq.new_colors)):
+            if not 0 <= v < n:
+                raise SequenceViolation(i, f"vertex {v} out of range")
+            if not 1 <= c <= k:
+                raise SequenceViolation(i, f"color {c} outside 1..{k}")
+            if colors[v] == c:
+                raise SequenceViolation(i, f"vertex {v} already has color {c}")
+            for w in adjacency[v]:
+                if colors[w] == c:
+                    raise SequenceViolation(
+                        i, f"neighbor {w} of vertex {v} already has color {c}")
+            colors[v] = c
+        return Coloring(tuple(colors), k)
+    for i, step in enumerate(seq):
         v, c = step.vertex, step.new_color
         if not 0 <= v < g.n:
             raise SequenceViolation(i, f"vertex {v} out of range")
@@ -376,9 +432,9 @@ def verify_sequence(g: Graph, alpha: Coloring,
 
 def sequence_stats(seq: RecoloringSequence) -> RecolorStats:
     per_vertex = [0] * len(seq.initial.colors)
-    for step in seq.steps:
-        per_vertex[step.vertex] += 1
-    return RecolorStats(tuple(per_vertex), len(seq.steps),
+    for v, count in Counter(seq.vertices).items():
+        per_vertex[v] = count
+    return RecolorStats(tuple(per_vertex), len(seq.vertices),
                         max(per_vertex, default=0))
 
 

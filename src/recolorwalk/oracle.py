@@ -77,6 +77,8 @@ def _bfs_levels(g: Graph, k: int, start: int, total: int,
     """Level-by-level BFS from `start`. Returns (distance to goal, ...) when
     `goal` is given and reached, else (None, reached count, eccentricity)."""
     powers = [k ** v for v in range(g.n)]
+    adjacency = g.adjacency
+    palette = range(1, k + 1)
     visited = bytearray(total)
     visited[start] = 1
     frontier = [start]
@@ -90,10 +92,11 @@ def _bfs_levels(g: Graph, k: int, start: int, total: int,
             colors = decode_coloring(code, g.n, k)
             for v in range(g.n):
                 current = colors[v]
-                for c in range(1, k + 1):
-                    if c == current:
-                        continue
-                    if any(colors[w] == c for w in g.adjacency[v]):
+                # The colors v cannot take: its own and its neighbors'.
+                blocked = {colors[w] for w in adjacency[v]}
+                blocked.add(current)
+                for c in palette:
+                    if c in blocked:
                         continue
                     neighbor = code + (c - current) * powers[v]
                     if goal is not None and neighbor == goal:

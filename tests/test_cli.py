@@ -1,9 +1,22 @@
 import json
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import recolorwalk.cli as cli
+from recolorwalk import (
+    SpecialISParams,
+    build_degree_partition,
+    degree_partition_from_degeneracy,
+    recolor_between,
+    serialize_coloring,
+    serialize_graph,
+)
 from recolorwalk.cli import main
+
+import families
 
 P3 = "3 2\n0 1\n1 2\n"
 K3 = "3 3\n0 1\n0 2\n1 2\n"
@@ -85,6 +98,44 @@ def test_recolor_verify_round_trip(files, tmp_path, capsys):
     assert payload["total"] == 4
     assert payload["n"] == 3
     assert sorted(payload) == ["max_per_vertex", "n", "per_vertex", "s", "t", "total"]
+
+
+def _library_walk_corpus():
+    # (graph, alpha, beta, k, CLI partition flags, the same partition built
+    # by the library): seeded trees on the theorem route with d=3, k=4, and
+    # sparse graphs on the degeneracy fallback with k = s+3.
+    rng = random.Random(8181)
+    for i in range(12):
+        if i % 2 == 0:
+            g = families.random_tree(rng, rng.randint(2, 60))
+            part = build_degree_partition(g, SpecialISParams(3, Fraction(1, 2)))
+            k, flags = 4, ["-d", "3", "--epsilon", "1/2"]
+        else:
+            g = families.random_graph(rng, rng.randint(2, 16), rng.uniform(0.1, 0.4))
+            part = degree_partition_from_degeneracy(g)
+            k, flags = part.s + 3, ["--degenerate-fallback"]
+        alpha = families.random_proper_coloring(rng, g, k)
+        beta = families.random_proper_coloring(rng, g, k)
+        yield g, alpha, beta, k, flags, part
+
+
+def test_recolor_writes_the_library_walk(files, tmp_path, capsys):
+    # `--out` holds one "v c" line per step of `recolor_between`'s walk, and
+    # `--stats` counts exactly those steps per vertex.
+    out, stats = tmp_path / "seq.txt", tmp_path / "stats.json"
+    for g, alpha, beta, k, flags, part in _library_walk_corpus():
+        steps = recolor_between(g, part, alpha, beta, k).steps
+        assert main(["recolor", files("g.txt", serialize_graph(g)),
+                     files("from.txt", serialize_coloring(alpha)),
+                     files("to.txt", serialize_coloring(beta)), "-k", str(k), *flags,
+                     "--out", str(out), "--stats", str(stats)]) == 0
+        assert capsys.readouterr().out == f"{len(steps)}\n"
+        assert out.read_bytes() == "".join(
+            f"{step.vertex} {step.new_color}\n" for step in steps).encode()
+        moved = Counter(step.vertex for step in steps)
+        payload = json.loads(stats.read_text())
+        assert payload["per_vertex"] == [moved[v] for v in range(g.n)]
+        assert payload["total"] == len(steps)
 
 
 def test_recolor_identical_endpoints(files, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -59,7 +60,7 @@ def promote(g, ord_, c, target, mask):
     masked = set(mask)
     ordered = tuple(v for v in ord_.order if v in masked)
     taken = tuple(sorted(engine._promote(state, ordered, target)))
-    return RecoloringSequence(c, tuple(state.steps)), taken
+    return RecoloringSequence(c, tuple(state.vertices), tuple(state.new)), taken
 
 
 class TestGreedyPromote:
@@ -565,17 +566,61 @@ class TestVerifySequence:
             verify_sequence(p3, Coloring((1, 1, 2), 3), (), 3)
         assert info.value.step_index == -1
 
+    @pytest.mark.parametrize("fault,reason", [
+        ((7, 2), "vertex 7 out of range"),
+        ((1, 4), "color 4 outside 1..3"),
+        ((1, 2), "vertex 1 already has color 2"),
+        # Leaves 1 and 3 both hold 2: the first in adjacency order is named.
+        ((0, 2), "neighbor 1 of vertex 0 already has color 2"),
+    ])
+    def test_flat_and_step_replays_agree(self, fault, reason):
+        # A walk's flat tuples and the same walk as RecoloringStep objects
+        # (what `recolorwalk verify` parses) fail at the same step, with the
+        # same reason; a valid step comes first.
+        star = families.star_graph(3)
+        alpha = Coloring((1, 2, 3, 2), 3)
+        vertices, new_colors = (2, fault[0]), (2, fault[1])
+        for seq in (RecoloringSequence(alpha, vertices, new_colors),
+                    [RecoloringStep(v, c) for v, c in zip(vertices, new_colors)]):
+            with pytest.raises(SequenceViolation) as info:
+                verify_sequence(star, alpha, seq, 3)
+            assert (info.value.step_index, info.value.reason) == (1, reason)
+
+
+def test_walk_peak_bytes_per_step():
+    # The walk is kept as flat int lists and tuples, with no object per
+    # step: one `recolor_between` on a 1000-vertex tree peaks at most at 64
+    # traced bytes per emitted step (50 here; 159 with a frozen step object
+    # per step).
+    rng = random.Random(1000)
+    g = families.random_tree(rng, 1000)
+    p = build_degree_partition(g, SpecialISParams(3, HALF))
+    alpha = families.random_proper_coloring(rng, g, 4)
+    beta = families.random_proper_coloring(rng, g, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seq = recolor_between(g, p, alpha, beta, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq.vertices) > 10_000
+    assert peak / len(seq.vertices) <= 64
+
 
 class TestStats:
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^2 vertices for 1 new colors$"):
+            RecoloringSequence(Coloring((3, 1, 3), 3), (0, 2), (2,))
+
     def test_empty(self):
-        stats = sequence_stats(RecoloringSequence(Coloring((1, 2, 1), 3), ()))
+        stats = sequence_stats(RecoloringSequence(Coloring((1, 2, 1), 3), (), ()))
         assert stats.total == 0
         assert stats.per_vertex == (0, 0, 0)
         assert stats.max_per_vertex == 0
 
     def test_small_sequence(self):
-        seq = RecoloringSequence(
-            Coloring((3, 1, 3), 3), (RecoloringStep(0, 2), RecoloringStep(2, 2)))
+        seq = RecoloringSequence(Coloring((3, 1, 3), 3), (0, 2), (2, 2))
         stats = sequence_stats(seq)
         assert stats.per_vertex == (1, 0, 1)
         assert stats.total == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -13,6 +14,7 @@ from recolorwalk import (
     bfs_distance,
     count_proper_colorings,
     decode_coloring,
+    degeneracy_ordering,
     encode_coloring,
     enumerate_special_is,
     exact_diameter,
@@ -150,6 +152,31 @@ class TestDiameter:
         best = max(bfs_distance(g, k, a, b)
                    for a, b in combinations(colorings, 2))
         assert exact_diameter(g, k) == best
+
+
+def oracle_corpus_digest():
+    """sha256 over the `bfs_distance` and `exact_diameter` answers on sixty
+    seeded random graphs of 2 to 5 vertices with k^n at most 243, frozen and
+    disconnected instances among them."""
+    rng = random.Random(8088)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        n, k = rng.choice([(2, 2), (3, 3), (4, 3), (3, 4), (5, 2), (5, 3)])
+        g = families.random_graph(rng, n, rng.uniform(0.2, 0.9))
+        while degeneracy_ordering(g)[1] >= k:
+            g = families.random_graph(rng, n, rng.uniform(0.2, 0.9))
+        alpha = families.random_proper_coloring(rng, g, k)
+        beta = families.random_proper_coloring(rng, g, k)
+        digest.update(repr((bfs_distance(g, k, alpha, beta), exact_diameter(g, k))).encode())
+    return digest.hexdigest()
+
+
+# A change to the search must leave every answer as it is.
+PINNED_ORACLE_DIGEST = "2ad0ffa15569e925cf8364c646fed9938f2629e945031155c3ffcc6ffa8d92be"
+
+
+def test_answers_match_the_pinned_digest():
+    assert oracle_corpus_digest() == PINNED_ORACLE_DIGEST
 
 
 class TestEnumerateSpecialIS:
