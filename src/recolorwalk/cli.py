@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .engine import (
-    RecoloringStep,
+    RecoloringSequence,
     recolor_between,
     recolor_theorem_pipeline,
     sequence_stats,
@@ -35,7 +35,8 @@ from .errors import (
     SizeGuaranteeViolated,
     StateSpaceTooLarge,
 )
-from .graphs import mad_brute, mad_exact, parse_coloring, parse_graph, serialize_coloring
+from .graphs import (Coloring, mad_brute, mad_exact, parse_coloring, parse_graph,
+                     serialize_coloring)
 from .layering import (
     SpecialISParams,
     build_degree_partition,
@@ -96,20 +97,20 @@ def _parse_rational(text: str) -> Fraction:
     raise GraphFormatError(f"expected an exact rational like 1/2, got {text!r}")
 
 
-def _parse_steps(text: str) -> list[RecoloringStep]:
-    steps = []
+def _parse_steps(text: str, alpha: Coloring) -> RecoloringSequence:
+    vertices, new_colors = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError("expected step 'vertex color'", line_no)
         try:
-            steps.append(RecoloringStep(int(fields[0]), int(fields[1])))
+            # Unpacking fails, as int() does, unless there are two fields.
+            v, c = map(int, line.split())
         except ValueError:
             raise GraphFormatError("expected step 'vertex color'", line_no) from None
-    return steps
+        vertices.append(v)
+        new_colors.append(c)
+    return RecoloringSequence(alpha, tuple(vertices), tuple(new_colors))
 
 
 def _state_cap() -> int:
@@ -186,8 +187,8 @@ def _cmd_recolor(args, report: dict) -> int:
 def _cmd_verify(args, report: dict) -> int:
     g = parse_graph(_read_input(args.graph, "graph", report))
     alpha = parse_coloring(_read_input(args.from_path, "from", report), g.n, args.k)
-    steps = _parse_steps(_read_input(args.sequence, "sequence", report))
-    final = verify_sequence(g, alpha, steps, args.k)
+    seq = _parse_steps(_read_input(args.sequence, "sequence", report), alpha)
+    final = verify_sequence(g, alpha, seq, args.k)
     answer = "OK final=" + " ".join(str(c) for c in final.colors)
     report["outputs"]["final"] = serialize_coloring(final).strip()
     print(answer)

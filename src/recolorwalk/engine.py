@@ -16,22 +16,23 @@ walk producers, `reduce_palette` and `recolor_between` (which
 and check its promised end state before returning, so a fault surfaces as a
 SequenceViolation, also under `python -O`, rather than as an invalid walk.
 
-Masks are tuples in embedded order and palettes hold the colors in play, so
-a call costs what it owns, not the graph's size or the largest color value.
+Masks are lists in embedded order, never tuples built from generators (see
+`_eliminate`), and palettes hold the colors in play, so a call costs what it
+owns, not the graph's size or the largest color value.
 
-A walk stays flat from construction to output: each side records its steps
-as three int lists (vertex, new color, old color), the two-sided walk is the
-alpha side's vertices and new colors followed by the beta side's vertices
-and old colors reversed, and a `RecoloringSequence` holds the vertices and
-new colors as two tuples. No per-step object is built unless a caller asks
-for `RecoloringSequence.steps`.
+A walk stays flat from construction to every replay: each side records two
+int lists, the vertices and the colors the two-sided walk writes for them;
+the walk is the alpha side's records followed by the beta side's reversed,
+and a `RecoloringSequence` holds the vertices and new colors as two tuples.
+`recolorwalk verify` parses a sequence file into the same form. No per-step
+object is built unless a caller asks for `RecoloringSequence.steps`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import PaletteTooSmall, SequenceViolation
 from .graphs import Coloring, Graph, check_coloring
@@ -113,32 +114,34 @@ class _WalkState:
     """One side of a walk under construction, plus the context that every
     frame of the recursion shares: the graph's `adjacency`, the embedded
     ordering's `order` and `layer_of`, and the `trace` (or None) that gets one
-    WorkSets per inner layer-clearing call. `colors` is the current coloring;
-    step i recolored `vertices[i]` from `olds[i]` to `new[i]`.
+    WorkSets per inner layer-clearing call. `colors` is the current coloring.
+
+    Step i recolored `vertices[i]`, and `emitted[i]` is the color the walk
+    writes for it: the new color, or, on a `backward` side (whose steps the
+    walk replays in reverse), the color the step left.
     """
 
     __slots__ = ("adjacency", "layer_of", "order", "trace", "colors",
-                 "vertices", "new", "olds")
+                 "backward", "vertices", "emitted")
 
     def __init__(self, g: Graph, ord_: EmbeddedOrdering, start: Coloring,
-                 trace: EliminationTrace | None):
+                 trace: EliminationTrace | None, backward: bool = False):
         self.adjacency = g.adjacency
         self.layer_of = ord_.layer_of
         self.order = ord_.order
         self.trace = trace
         self.colors = list(start.colors)
+        self.backward = backward
         self.vertices: list[int] = []
-        self.new: list[int] = []
-        self.olds: list[int] = []
+        self.emitted: list[int] = []
 
     def recolor(self, v: int, color: int) -> None:
         self.vertices.append(v)
-        self.new.append(color)
-        self.olds.append(self.colors[v])
+        self.emitted.append(self.colors[v] if self.backward else color)
         self.colors[v] = color
 
 
-def _promote(state: _WalkState, mask: tuple[int, ...], target: int) -> frozenset[int]:
+def _promote(state: _WalkState, mask: Sequence[int], target: int) -> frozenset[int]:
     # Scan masked vertices from the last position toward the first,
     # recoloring each to `target` whenever no neighbor currently holds it;
     # return the masked vertices that hold `target` afterwards. The sweeps
@@ -147,7 +150,8 @@ def _promote(state: _WalkState, mask: tuple[int, ...], target: int) -> frozenset
     taken = set()
     colors = state.colors
     adjacency = state.adjacency
-    vertices, new, olds = state.vertices, state.new, state.olds
+    backward = state.backward
+    vertices, emitted = state.vertices, state.emitted
     for v in reversed(mask):
         old = colors[v]
         if old == target:
@@ -158,8 +162,7 @@ def _promote(state: _WalkState, mask: tuple[int, ...], target: int) -> frozenset
                 break
         else:
             vertices.append(v)
-            new.append(target)
-            olds.append(old)
+            emitted.append(old if backward else target)
             colors[v] = target
             taken.add(v)
     return frozenset(taken)
@@ -185,7 +188,7 @@ def _later_degree(state: _WalkState, vertices: Iterable[int],
 
 
 def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
-               mask: tuple[int, ...]) -> None:
+               mask: Sequence[int]) -> None:
     """Purge `target` from the masked vertices.
 
     One round per layer that holds `target` on the mask, lowest first. A
@@ -210,21 +213,25 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
             f"palette of {len(palette)} colors cannot clear a color at layer "
             f"depth {depth}; at least {depth + 2} colors are needed")
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
-        u = tuple(v for v in mask if layer_of[v] < h)
+        # Masks are lists: tuple(<generator>) allocates at a guessed size
+        # and resizes, so each small mask freed parks a block in CPython's
+        # per-size tuple free lists (2000 a size), which only a full
+        # collection empties and which pin allocator arenas meanwhile.
+        u = [v for v in mask if layer_of[v] < h]
         w = [v for v in mask if layer_of[v] == h and colors[v] == target]
         for a in sorted(palette - {target}):
             if not w:
                 break
-            w_a = tuple(v for v in w
-                        if all(colors[x] != a for x in adjacency[v] if layer_of[x] > h))
+            w_a = [v for v in w
+                   if all(colors[x] != a for x in adjacency[v] if layer_of[x] > h)]
             if not w_a:
                 continue
             _clear_layer(state, target, a, u, w_a, depth, palette)
             w = [v for v in w if colors[v] == target]
 
 
-def _clear_layer(state: _WalkState, target: int, a: int, u: tuple[int, ...],
-                 w_a: tuple[int, ...], depth: int, palette: frozenset[int]) -> None:
+def _clear_layer(state: _WalkState, target: int, a: int, u: list[int],
+                 w_a: list[int], depth: int, palette: frozenset[int]) -> None:
     """Move the w_a vertices from `target` to `a`, recoloring only u | w_a.
 
     General shape: promote u toward `target` (freeing `a`-space below),
@@ -242,24 +249,24 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: tuple[int, ...],
         promoted_first = promoted_second = inner = frozenset()
     else:
         promoted_first = _promote(state, u, target)
-        inner = tuple(v for v in u if v not in promoted_first)
+        inner = [v for v in u if v not in promoted_first]
         _eliminate(state, a, palette - {target}, inner)
         for v in w_a:
             state.recolor(v, a)
         promoted_second = _promote(state, u, a)
-        _eliminate(state, target, palette - {a}, tuple(v for v in u if v not in promoted_second))
+        _eliminate(state, target, palette - {a}, [v for v in u if v not in promoted_second])
     if state.trace is not None:
         moved = Counter(state.vertices[first:])
         state.trace.claims.append(WorkSets(
             depth=depth,
             promoted_to_target=tuple(sorted(promoted_first)),
             promoted_to_color=tuple(sorted(promoted_second)),
-            w_a_recolor_counts=tuple(moved[v] for v in w_a),
+            w_a_recolor_counts=tuple([moved[v] for v in w_a]),
             inner_mask_later_degree=_later_degree(state, inner, set(inner)),
         ))
 
 
-def _between(a_state: _WalkState, b_state: _WalkState, mask: tuple[int, ...],
+def _between(a_state: _WalkState, b_state: _WalkState, mask: Sequence[int],
              palette: frozenset[int]) -> None:
     """Drive both sides to a common coloring of the masked vertices.
 
@@ -276,7 +283,7 @@ def _between(a_state: _WalkState, b_state: _WalkState, mask: tuple[int, ...],
         _eliminate(b_state, target, palette, mask)
         promoted = _promote(a_state, mask, target)
         _promote(b_state, mask, target)
-        mask = tuple(v for v in mask if v not in promoted)
+        mask = [v for v in mask if v not in promoted]
         palette -= {target}
     for v in sorted(v for v in mask if a_state.colors[v] != b_state.colors[v]):
         a_state.recolor(v, b_state.colors[v])
@@ -324,7 +331,7 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, embedded_ordering(p), c, None)
     _reduce(state, target_size)
-    seq = RecoloringSequence(c, tuple(state.vertices), tuple(state.new))
+    seq = RecoloringSequence(c, tuple(state.vertices), tuple(state.emitted))
     return _checked_walk(g, seq, k,
                          lambda colors: max(colors) <= target_size,
                          f"at most {target_size} colors")
@@ -347,17 +354,12 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
             f"k = {k} but the partition needs at least {p.s + 2} colors")
     ord_ = embedded_ordering(p)
     a_state = _WalkState(g, ord_, alpha, trace)
-    b_state = _WalkState(g, ord_, beta, trace)
+    b_state = _WalkState(g, ord_, beta, trace, backward=True)
     for state in (a_state, b_state):
         _reduce(state, p.s + 2)
     _between(a_state, b_state, ord_.order, frozenset(range(1, p.s + 3)))
-    # The walk reads the alpha side's new colors and the beta side's old
-    # colors; freeing the other two records first lets the copies below
-    # reuse their memory.
-    a_state.olds.clear()
-    b_state.new.clear()
     seq = RecoloringSequence(alpha, tuple(a_state.vertices + b_state.vertices[::-1]),
-                             tuple(a_state.new + b_state.olds[::-1]))
+                             tuple(a_state.emitted + b_state.emitted[::-1]))
     return _checked_walk(g, seq, k, lambda colors: colors == beta.colors, "beta")
 
 
@@ -376,18 +378,14 @@ def recolor_theorem_pipeline(
     return seq, sequence_stats(seq), partition
 
 
-def verify_sequence(g: Graph, alpha: Coloring,
-                    seq: RecoloringSequence | Iterable[RecoloringStep],
+def verify_sequence(g: Graph, alpha: Coloring, seq: RecoloringSequence,
                     k: int) -> Coloring:
-    """Replay a step list from alpha, checking every walk rule.
+    """Replay the steps of `seq` from alpha, checking every walk rule.
 
-    Raises SequenceViolation naming the first offending step (index -1 for
-    a bad initial coloring); returns the final coloring on success. A
-    `RecoloringSequence` is replayed from its flat tuples, with no per-step
-    object; any other iterable of `RecoloringStep` is replayed by reading
-    each step's fields. The two loops make the same checks in the same
-    order: turning the steps into pairs for one loop slowed the step-object
-    replay by a quarter.
+    The replay starts at the caller's `alpha`, not at `seq.initial`, so a
+    walk can be checked against the start it was asked for. Raises
+    SequenceViolation naming the first offending step (index -1 for a bad
+    initial coloring); returns the final coloring on success.
     """
     if len(alpha.colors) != g.n:
         raise ValueError(f"coloring has {len(alpha.colors)} entries for {g.n} vertices")
@@ -398,31 +396,16 @@ def verify_sequence(g: Graph, alpha: Coloring,
     for u, v in g.edges():
         if colors[u] == colors[v]:
             raise SequenceViolation(-1, f"initial coloring improper on edge ({u}, {v})")
-    if isinstance(seq, RecoloringSequence):
-        n = g.n
-        adjacency = g.adjacency
-        for i, (v, c) in enumerate(zip(seq.vertices, seq.new_colors)):
-            if not 0 <= v < n:
-                raise SequenceViolation(i, f"vertex {v} out of range")
-            if not 1 <= c <= k:
-                raise SequenceViolation(i, f"color {c} outside 1..{k}")
-            if colors[v] == c:
-                raise SequenceViolation(i, f"vertex {v} already has color {c}")
-            for w in adjacency[v]:
-                if colors[w] == c:
-                    raise SequenceViolation(
-                        i, f"neighbor {w} of vertex {v} already has color {c}")
-            colors[v] = c
-        return Coloring(tuple(colors), k)
-    for i, step in enumerate(seq):
-        v, c = step.vertex, step.new_color
-        if not 0 <= v < g.n:
+    n = g.n
+    adjacency = g.adjacency
+    for i, (v, c) in enumerate(zip(seq.vertices, seq.new_colors)):
+        if not 0 <= v < n:
             raise SequenceViolation(i, f"vertex {v} out of range")
         if not 1 <= c <= k:
             raise SequenceViolation(i, f"color {c} outside 1..{k}")
         if colors[v] == c:
             raise SequenceViolation(i, f"vertex {v} already has color {c}")
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if colors[w] == c:
                 raise SequenceViolation(
                     i, f"neighbor {w} of vertex {v} already has color {c}")

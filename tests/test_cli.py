@@ -120,16 +120,19 @@ def _library_walk_corpus():
 
 
 def test_recolor_writes_the_library_walk(files, tmp_path, capsys):
-    # `--out` holds one "v c" line per step of `recolor_between`'s walk, and
-    # `--stats` counts exactly those steps per vertex.
+    # `--out` holds one "v c" line per step of `recolor_between`'s walk,
+    # `--stats` counts exactly those steps per vertex, and `verify` replays
+    # the file to beta.
     out, stats = tmp_path / "seq.txt", tmp_path / "stats.json"
     for g, alpha, beta, k, flags, part in _library_walk_corpus():
         steps = recolor_between(g, part, alpha, beta, k).steps
-        assert main(["recolor", files("g.txt", serialize_graph(g)),
-                     files("from.txt", serialize_coloring(alpha)),
-                     files("to.txt", serialize_coloring(beta)), "-k", str(k), *flags,
-                     "--out", str(out), "--stats", str(stats)]) == 0
+        graph = files("g.txt", serialize_graph(g))
+        frm = files("from.txt", serialize_coloring(alpha))
+        assert main(["recolor", graph, frm, files("to.txt", serialize_coloring(beta)),
+                     "-k", str(k), *flags, "--out", str(out), "--stats", str(stats)]) == 0
         assert capsys.readouterr().out == f"{len(steps)}\n"
+        assert main(["verify", graph, frm, str(out), "-k", str(k)]) == 0
+        assert capsys.readouterr().out == f"OK final={' '.join(map(str, beta.colors))}\n"
         assert out.read_bytes() == "".join(
             f"{step.vertex} {step.new_color}\n" for step in steps).encode()
         moved = Counter(step.vertex for step in steps)
@@ -218,6 +221,26 @@ def test_verify_detects_corruption(files, tmp_path, capsys):
     seq = files("seq.txt", "1 3\n0 3\n")
     assert main(["verify", graph, frm, seq, "-k", "3"]) == 7
     assert "step 1" in capsys.readouterr().err
+
+
+def test_verify_skips_comments_and_blank_lines(files, capsys):
+    graph = files("p3.txt", P3)
+    frm = files("from.txt", "1 2 1\n")
+    seq = files("seq.txt", "# a walk\n\n  0 3\n   \n  # two steps\n2 3\n")
+    assert main(["verify", graph, frm, seq, "-k", "3"]) == 0
+    assert capsys.readouterr().out == "OK final=3 2 3\n"
+
+
+@pytest.mark.parametrize("bad", ["1", "1 2 3", "x 2"])
+def test_verify_rejects_a_malformed_step(files, capsys, bad):
+    # Line 3 of the file, after a comment and a valid step.
+    graph = files("p3.txt", P3)
+    frm = files("from.txt", "1 2 1\n")
+    seq = files("seq.txt", f"# walk\n0 3\n{bad}\n2 3\n")
+    assert main(["verify", graph, frm, seq, "-k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: expected step 'vertex color'\n"
 
 
 def test_verify_empty_sequence(files, tmp_path, capsys):

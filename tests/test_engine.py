@@ -23,7 +23,6 @@ from recolorwalk import (
     ImproperInput,
     PaletteTooSmall,
     RecoloringSequence,
-    RecoloringStep,
     SequenceViolation,
     SizeGuaranteeViolated,
     SpecialISParams,
@@ -36,6 +35,8 @@ from recolorwalk import (
     recolor_theorem_pipeline,
     reduce_palette,
     sequence_stats,
+    serialize_coloring,
+    serialize_graph,
     verify_sequence,
     walk_bound,
 )
@@ -60,7 +61,7 @@ def promote(g, ord_, c, target, mask):
     masked = set(mask)
     ordered = tuple(v for v in ord_.order if v in masked)
     taken = tuple(sorted(engine._promote(state, ordered, target)))
-    return RecoloringSequence(c, tuple(state.vertices), tuple(state.new)), taken
+    return RecoloringSequence(c, tuple(state.vertices), tuple(state.emitted)), taken
 
 
 class TestGreedyPromote:
@@ -541,29 +542,33 @@ class TestVerifySequence:
     def test_empty_returns_start(self):
         p3 = families.path_graph(3)
         alpha = Coloring((1, 2, 1), 3)
-        assert verify_sequence(p3, alpha, (), 3).colors == alpha.colors
+        seq = RecoloringSequence(alpha, (), ())
+        assert verify_sequence(p3, alpha, seq, 3).colors == alpha.colors
 
     def test_conflicting_step_is_reported(self):
         p3 = families.path_graph(3)
         alpha = Coloring((1, 2, 1), 3)
         with pytest.raises(SequenceViolation) as info:
-            verify_sequence(p3, alpha, [RecoloringStep(0, 2)], 3)
+            verify_sequence(p3, alpha, RecoloringSequence(alpha, (0,), (2,)), 3)
         assert info.value.step_index == 0
 
     def test_no_op_step_is_reported(self):
         p3 = families.path_graph(3)
+        alpha = Coloring((1, 2, 1), 3)
         with pytest.raises(SequenceViolation, match="already has color"):
-            verify_sequence(p3, Coloring((1, 2, 1), 3), [RecoloringStep(0, 1)], 3)
+            verify_sequence(p3, alpha, RecoloringSequence(alpha, (0,), (1,)), 3)
 
     def test_color_out_of_range(self):
         p3 = families.path_graph(3)
+        alpha = Coloring((1, 2, 1), 3)
         with pytest.raises(SequenceViolation, match="outside"):
-            verify_sequence(p3, Coloring((1, 2, 1), 3), [RecoloringStep(0, 4)], 3)
+            verify_sequence(p3, alpha, RecoloringSequence(alpha, (0,), (4,)), 3)
 
     def test_improper_start(self):
         p3 = families.path_graph(3)
+        alpha = Coloring((1, 1, 2), 3)
         with pytest.raises(SequenceViolation) as info:
-            verify_sequence(p3, Coloring((1, 1, 2), 3), (), 3)
+            verify_sequence(p3, alpha, RecoloringSequence(alpha, (), ()), 3)
         assert info.value.step_index == -1
 
     @pytest.mark.parametrize("fault,reason", [
@@ -573,24 +578,29 @@ class TestVerifySequence:
         # Leaves 1 and 3 both hold 2: the first in adjacency order is named.
         ((0, 2), "neighbor 1 of vertex 0 already has color 2"),
     ])
-    def test_flat_and_step_replays_agree(self, fault, reason):
-        # A walk's flat tuples and the same walk as RecoloringStep objects
-        # (what `recolorwalk verify` parses) fail at the same step, with the
+    def test_flat_and_step_replays_agree(self, fault, reason, tmp_path, capsys):
+        # The library's replay of a walk and `recolorwalk verify` on the same
+        # steps written as a sequence file fail at the same step, with the
         # same reason; a valid step comes first.
         star = families.star_graph(3)
         alpha = Coloring((1, 2, 3, 2), 3)
         vertices, new_colors = (2, fault[0]), (2, fault[1])
-        for seq in (RecoloringSequence(alpha, vertices, new_colors),
-                    [RecoloringStep(v, c) for v, c in zip(vertices, new_colors)]):
-            with pytest.raises(SequenceViolation) as info:
-                verify_sequence(star, alpha, seq, 3)
-            assert (info.value.step_index, info.value.reason) == (1, reason)
+        with pytest.raises(SequenceViolation) as info:
+            verify_sequence(star, alpha, RecoloringSequence(alpha, vertices, new_colors), 3)
+        assert (info.value.step_index, info.value.reason) == (1, reason)
+        paths = {"g.txt": serialize_graph(star), "from.txt": serialize_coloring(alpha),
+                 "seq.txt": "".join(f"{v} {c}\n" for v, c in zip(vertices, new_colors))}
+        for name, text in paths.items():
+            (tmp_path / name).write_text(text)
+        assert main(["verify", str(tmp_path / "g.txt"), str(tmp_path / "from.txt"),
+                     str(tmp_path / "seq.txt"), "-k", "3"]) == 7
+        assert capsys.readouterr().err == f"error: step 1: {reason}\n"
 
 
 def test_walk_peak_bytes_per_step():
     # The walk is kept as flat int lists and tuples, with no object per
     # step: one `recolor_between` on a 1000-vertex tree peaks at most at 64
-    # traced bytes per emitted step (50 here; 159 with a frozen step object
+    # traced bytes per emitted step (41 here; 159 with a frozen step object
     # per step).
     rng = random.Random(1000)
     g = families.random_tree(rng, 1000)
@@ -606,6 +616,30 @@ def test_walk_peak_bytes_per_step():
         tracemalloc.stop()
     assert len(seq.vertices) > 10_000
     assert peak / len(seq.vertices) <= 64
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_leaves_no_tuples_behind(seed):
+    # A walk whose result is dropped leaves at most 16 KiB traced once it
+    # returns (2.3 KiB here). Masks built as tuple(<generator>) left 80-265
+    # KiB on these instances: each small tuple freed parks its block in
+    # CPython's per-size tuple free lists, which only a full collection
+    # empties, and which pin allocator arenas between requests.
+    rng = random.Random(seed)
+    g = families.random_graph(rng, 100, 0.025)
+    p = degree_partition_from_degeneracy(g)
+    k = p.s + 5
+    alpha = families.random_proper_coloring(rng, g, k)
+    beta = families.random_proper_coloring(rng, g, k)
+    assert len(recolor_between(g, p, alpha, beta, k).vertices) > 5_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        recolor_between(g, p, alpha, beta, k)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 16 * 1024
 
 
 class TestStats:
