@@ -7,6 +7,11 @@ coloring, 6 palette too small, 7 a sequence or built walk failed its replay.
 
 The oracle's k^n cap (default 10^7) can be overridden with the
 RECOLOR_STATE_CAP environment variable.
+
+This module owns the sequence-file format, one "vertex new_color" step per
+line: `_format_steps` writes it for `recolor --out` and `_parse_steps` reads
+it for `verify`, both in bulk, the reader in slices of about 64 KiB of whole
+lines.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .engine import (
     RecoloringSequence,
@@ -53,6 +59,12 @@ _EXIT_CODES = (
     (PaletteTooSmall, 6),
     (SequenceViolation, 7),
 )
+
+# Sequence files are read in slices of about this many characters, each
+# ending at a line end: large enough that the per-slice C loops dominate,
+# small enough that a slice's transient lines and tokens stay small next
+# to the walk being built.
+_SLICE_CHARS = 1 << 16
 
 
 def _read_input(path: str, role: str, report: dict) -> str:
@@ -98,7 +110,40 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_steps(text: str, alpha: Coloring) -> RecoloringSequence:
+    """Read a sequence file, one slice of whole lines at a time.
+
+    C loops split, check and convert each slice's lines all at once; the
+    line-by-line reading runs only once a slice has failed, to name the
+    first bad line.
+    """
     vertices, new_colors = [], []
+    start = 0
+    while start < len(text):
+        # A slice ends just after a "\n", which ends a line under every
+        # splitlines() separator, so the slices' lines are the text's lines.
+        # find() gives -1, so end 0, when no "\n" is left: the rest is one slice.
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        piece = text[start:end]
+        if "#" in piece:
+            piece = "\n".join([line for line in piece.splitlines()
+                               if not line.lstrip().startswith("#")])
+        if not set(map(len, map(str.split, piece.splitlines()))) <= {0, 2}:
+            _raise_step_fault(text)
+        # Every line separator is whitespace to split(), so the slice's
+        # tokens are its lines' fields in order, two per step.
+        try:
+            values = list(map(int, piece.split()))
+        except ValueError:
+            _raise_step_fault(text)
+        vertices += values[0::2]
+        new_colors += values[1::2]
+        start = end
+    return RecoloringSequence(alpha, tuple(vertices), tuple(new_colors))
+
+
+def _raise_step_fault(text: str) -> NoReturn:
+    # The format read line by line: the reference `_parse_steps` must agree
+    # with, run only once a slice has failed, to raise at the first bad line.
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -108,9 +153,21 @@ def _parse_steps(text: str, alpha: Coloring) -> RecoloringSequence:
             v, c = map(int, line.split())
         except ValueError:
             raise GraphFormatError("expected step 'vertex color'", line_no) from None
-        vertices.append(v)
-        new_colors.append(c)
-    return RecoloringSequence(alpha, tuple(vertices), tuple(new_colors))
+    raise RuntimeError("a slice of the sequence file failed its bulk parse, but no line did")
+
+
+def _format_steps(seq: RecoloringSequence, n: int) -> str:
+    """The sequence file of `seq` on n vertices: one "v c" line per step.
+
+    Each step's text is two strings from tables built once, "{v} " per
+    vertex and "{c}\\n" per color the walk writes, joined in one pass.
+    """
+    vertex_text = [f"{v} " for v in range(n)]
+    color_text = {c: f"{c}\n" for c in set(seq.new_colors)}
+    parts = [""] * (2 * len(seq.vertices))
+    parts[0::2] = map(vertex_text.__getitem__, seq.vertices)
+    parts[1::2] = map(color_text.__getitem__, seq.new_colors)
+    return "".join(parts)
 
 
 def _state_cap() -> int:
@@ -168,8 +225,7 @@ def _cmd_recolor(args, report: dict) -> int:
             g, args.d, _parse_rational(args.epsilon), alpha, beta, args.k)
     payload = _stats_payload(stats, partition, g.n)
     if args.out:
-        _write_output(args.out, "sequence",
-                      "".join(f"{v} {c}\n" for v, c in zip(seq.vertices, seq.new_colors)))
+        _write_output(args.out, "sequence", _format_steps(seq, g.n))
     if args.stats:
         _write_output(args.stats, "stats",
                       json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")

@@ -3,7 +3,9 @@
 States are encoded in base k with vertex 0 least significant; searches
 generate neighbors in ascending vertex order, then ascending color order, so
 every answer is deterministic. Everything here is desk-scale machinery
-guarded by a cap (default 10^7) on k^n, times the colorings for the diameter.
+guarded by a cap (default 10^7) on k^n, charged for the work each search
+scans: k^n x n (states x vertices) for the distance, colorings x k^n for the
+diameter.
 """
 
 from __future__ import annotations
@@ -114,8 +116,15 @@ def _bfs_levels(g: Graph, k: int, start: int, total: int,
 def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
                  cap: int | None = None) -> int | None:
     """Exact shortest walk length between two proper colorings, or None
-    when they lie in different components."""
-    total, _ = _checked_total(g, k, cap)
+    when they lie in different components.
+
+    The search scans every vertex of every state it reaches, so the cap
+    bounds k^n x n: StateSpaceTooLarge when that product exceeds it.
+    """
+    total, limit = _checked_total(g, k, cap)
+    if total * g.n > limit:
+        raise StateSpaceTooLarge(f"k^n x n = {k}^{g.n} x {g.n} states x vertices "
+                                 f"exceed the state cap {limit}")
     check_coloring(g, alpha, "alpha", k)
     check_coloring(g, beta, "beta", k)
     start = encode_coloring(alpha.colors, k)

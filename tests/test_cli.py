@@ -287,6 +287,25 @@ def test_oracle_diameter_cap_counts_colorings(files, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_oracle_distance_cap_counts_vertices(files, capsys, monkeypatch):
+    # The search scans every vertex of every state, so it charges k^n x n:
+    # the 10^7 states of `7 0` fit the default cap, 7 x 10^7 scans do not.
+    frm, to = files("from.txt", "1 " * 7 + "\n"), files("to.txt", "2 " * 7 + "\n")
+    assert main(["oracle", files("g.txt", "7 0\n"), "-k", "10", "--distance", frm, to]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: k^n x n = 10^7 x 7 states x vertices "
+                            "exceed the state cap 10000000\n")
+    # On `3 0`, 10^3 x 3 = 3000 is the smallest cap that answers.
+    argv = ["oracle", files("g3.txt", "3 0\n"), "-k", "10", "--distance",
+            files("from3.txt", "1 1 1\n"), files("to3.txt", "2 2 2\n")]
+    monkeypatch.setenv("RECOLOR_STATE_CAP", "3000")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "3\n"
+    monkeypatch.setenv("RECOLOR_STATE_CAP", "2999")
+    assert main(argv) == 3
+
+
 def test_report_is_deterministic(files, tmp_path, capsys):
     graph = files("p3.txt", P3)
     frm = files("from.txt", "1 2 1\n")
