@@ -20,21 +20,17 @@ from .graphs import (
     Coloring,
     Graph,
     degeneracy_ordering,
-    is_proper,
     mad_brute,
     mad_exact,
     parse_coloring,
     parse_graph,
     serialize_coloring,
-    serialize_graph,
 )
 from .layering import (
     DegreePartition,
-    EmbeddedOrdering,
     SpecialISParams,
     build_degree_partition,
     degree_partition_from_degeneracy,
-    embedded_ordering,
     partition_round_bound,
     serialize_partition,
     validate_partition,
@@ -45,7 +41,6 @@ from .engine import (
     RecoloringSequence,
     RecoloringStep,
     WorkSets,
-    elim_bound,
     recolor_between,
     recolor_theorem_pipeline,
     reduce_palette,
@@ -57,9 +52,6 @@ from .oracle import (
     DEFAULT_STATE_CAP,
     bfs_distance,
     count_proper_colorings,
-    decode_coloring,
-    encode_coloring,
-    enumerate_special_is,
     exact_diameter,
 )
 
@@ -68,7 +60,6 @@ __all__ = [
     "DEFAULT_STATE_CAP",
     "DegreePartition",
     "EliminationTrace",
-    "EmbeddedOrdering",
     "Graph",
     "GraphFormatError",
     "ImproperInput",
@@ -85,15 +76,9 @@ __all__ = [
     "bfs_distance",
     "build_degree_partition",
     "count_proper_colorings",
-    "decode_coloring",
     "degeneracy_ordering",
     "degree_partition_from_degeneracy",
-    "elim_bound",
-    "embedded_ordering",
-    "encode_coloring",
-    "enumerate_special_is",
     "exact_diameter",
-    "is_proper",
     "mad_brute",
     "mad_exact",
     "parse_coloring",
@@ -104,7 +89,6 @@ __all__ = [
     "reduce_palette",
     "sequence_stats",
     "serialize_coloring",
-    "serialize_graph",
     "serialize_partition",
     "validate_partition",
     "verify_sequence",

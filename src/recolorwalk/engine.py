@@ -421,23 +421,11 @@ def sequence_stats(seq: RecoloringSequence) -> RecolorStats:
                         max(per_vertex, default=0))
 
 
-def elim_bound(s: int, t: int) -> int:
-    """Per-vertex recoloring ceiling for one color elimination at layer
-    depth s with the tight palette of s + 2 colors.
-
-    Counting the recursion as implemented: an elimination visits at most t
-    layer rounds; a round runs at most s + 1 replacement-color passes; each
-    pass touches an earlier-layer vertex at most twice directly (the two
-    promotion sweeps) plus twice recursively one depth lower, and an
-    active-layer vertex is directly recolored at most once over the whole
-    call (the active layer only ever moves upward):
-
-        elim(0, t) = 1
-        elim(s, t) = t * (s + 1) * (2 + 2 * elim(s - 1, t)) + 1
-    """
+def _elim_bound(s: int, t: int) -> int:
+    # Per-vertex ceiling of one color elimination; see `walk_bound`.
     if s <= 0:
         return 1
-    return t * (s + 1) * (2 + 2 * elim_bound(s - 1, t)) + 1
+    return t * (s + 1) * (2 + 2 * _elim_bound(s - 1, t)) + 1
 
 
 def walk_bound(s: int, t: int) -> int:
@@ -449,7 +437,18 @@ def walk_bound(s: int, t: int) -> int:
 
         walk(0, t) = 1
         walk(s, t) = 2 * elim(s, t) + 2 + walk(s - 1, t)
+
+    elim(s, t) bounds one color elimination at depth s with the tight
+    palette of s + 2 colors. Counting the recursion as implemented: an
+    elimination visits at most t layer rounds; a round runs at most s + 1
+    replacement-color passes; each pass touches an earlier-layer vertex at
+    most twice directly (the two promotion sweeps) plus twice recursively one
+    depth lower, and an active-layer vertex is directly recolored at most
+    once over the whole call (the active layer only ever moves upward):
+
+        elim(0, t) = 1
+        elim(s, t) = t * (s + 1) * (2 + 2 * elim(s - 1, t)) + 1
     """
     if s <= 0:
         return 1
-    return 2 * elim_bound(s, t) + 2 + walk_bound(s - 1, t)
+    return 2 * _elim_bound(s, t) + 2 + walk_bound(s - 1, t)

@@ -131,12 +131,6 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def serialize_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def parse_coloring(text: str, n: int, k: int) -> Coloring:
     """Parse a coloring file for an n-vertex graph against palette {1..k}."""
     fields = text.split()
@@ -159,24 +153,17 @@ def serialize_coloring(c: Coloring) -> str:
     return " ".join(str(x) for x in c.colors) + "\n"
 
 
-def is_proper(g: Graph, coloring: Coloring) -> bool:
-    """True iff no edge joins two vertices of the same color."""
-    if len(coloring.colors) != g.n:
-        raise ValueError(
-            f"coloring has {len(coloring.colors)} entries for {g.n} vertices")
-    cols = coloring.colors
-    return all(cols[u] != cols[v] for u, v in g.edges())
-
-
 def check_coloring(g: Graph, c: Coloring, name: str, k: int) -> None:
     """Reject a coloring of the wrong length (ValueError), of a declared
-    palette other than k (ValueError), or improper (ImproperInput); every
-    message names the coloring."""
+    palette other than k (ValueError), or improper, with an edge joining two
+    vertices of the same color (ImproperInput); every message names the
+    coloring."""
     if len(c.colors) != g.n:
         raise ValueError(f"{name} has {len(c.colors)} entries for {g.n} vertices")
     if c.k != k:
         raise ValueError(f"{name} declares palette {c.k}, expected {k}")
-    if not is_proper(g, c):
+    colors = c.colors
+    if any(colors[u] == colors[v] for u, v in g.edges()):
         raise ImproperInput(f"{name} is not a proper coloring")
 
 

@@ -4,8 +4,8 @@ States are encoded in base k with vertex 0 least significant; searches
 generate neighbors in ascending vertex order, then ascending color order, so
 every answer is deterministic. Everything here is desk-scale machinery
 guarded by a cap (default 10^7) on k^n, charged for the work each search
-scans: k^n x n (states x vertices) for the distance, colorings x k^n for the
-diameter.
+scans: k^n x n (states x vertices) for the distance, colorings x k^n x n for
+the diameter.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from .errors import StateSpaceTooLarge
 from .graphs import Coloring, Graph, check_coloring
 
 DEFAULT_STATE_CAP = 10 ** 7
-
-_ENUMERATION_LIMIT = 20
 
 
 def _checked_total(g: Graph, k: int, cap: int | None) -> tuple[int, int]:
@@ -32,14 +30,14 @@ def _checked_total(g: Graph, k: int, cap: int | None) -> tuple[int, int]:
     return total, limit
 
 
-def encode_coloring(colors, k: int) -> int:
+def _encode(colors, k: int) -> int:
     code = 0
     for c in reversed(colors):
         code = code * k + (c - 1)
     return code
 
 
-def decode_coloring(code: int, n: int, k: int) -> tuple[int, ...]:
+def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
     out = []
     for _ in range(n):
         code, digit = divmod(code, k)
@@ -91,7 +89,7 @@ def _bfs_levels(g: Graph, k: int, start: int, total: int,
         distance += 1
         next_frontier: list[int] = []
         for code in frontier:
-            colors = decode_coloring(code, g.n, k)
+            colors = _decode(code, g.n, k)
             for v in range(g.n):
                 current = colors[v]
                 # The colors v cannot take: its own and its neighbors'.
@@ -127,8 +125,8 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
                                  f"exceed the state cap {limit}")
     check_coloring(g, alpha, "alpha", k)
     check_coloring(g, beta, "beta", k)
-    start = encode_coloring(alpha.colors, k)
-    goal = encode_coloring(beta.colors, k)
+    start = _encode(alpha.colors, k)
+    goal = _encode(beta.colors, k)
     if start == goal:
         return 0
     distance, _, _ = _bfs_levels(g, k, start, total, goal=goal)
@@ -139,17 +137,18 @@ def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
     """Largest pairwise distance among proper colorings, or None when the
     walk space is disconnected (including the vacuous no-colorings case).
 
-    Runs one BFS over the k^n states per proper coloring, so the cap bounds
-    colorings x k^n: StateSpaceTooLarge as soon as the colorings listed so
-    far times k^n exceed it. Meant for tiny instances only.
+    Runs one BFS per proper coloring, each scanning every vertex of the k^n
+    states, so the cap bounds colorings x k^n x n: StateSpaceTooLarge as soon
+    as the colorings listed so far times k^n x n exceed it. Meant for tiny
+    instances only.
     """
     total, limit = _checked_total(g, k, cap)
     codes = []
     for code in _proper_codes(g, k):
         codes.append(code)
-        if len(codes) * total > limit:
-            raise StateSpaceTooLarge(f"at least {len(codes)} colorings x k^n = {k}^{g.n} "
-                                     f"states exceed the state cap {limit}")
+        if len(codes) * total * g.n > limit:
+            raise StateSpaceTooLarge(f"at least {len(codes)} colorings x k^n x n = {k}^{g.n} "
+                                     f"x {g.n} states x vertices exceed the state cap {limit}")
     if not codes:
         return None
     best = 0
@@ -159,25 +158,3 @@ def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
             return None
         best = max(best, eccentricity)
     return best
-
-
-def enumerate_special_is(g: Graph, d: int) -> list[tuple[int, ...]]:
-    """All independent sets whose members have degree at most d - 1 in g.
-
-    Includes the empty set. Enumeration order is by candidate bitmask, so
-    the result is deterministic.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if g.n > _ENUMERATION_LIMIT:
-        raise StateSpaceTooLarge(
-            f"n = {g.n} too large for subset enumeration (limit {_ENUMERATION_LIMIT})")
-    candidates = [v for v in range(g.n) if g.degree(v) <= d - 1]
-    adjacency_bits = {v: sum(1 << w for w in g.adjacency[v]) for v in candidates}
-    out: list[tuple[int, ...]] = []
-    for bits in range(1 << len(candidates)):
-        members = [candidates[i] for i in range(len(candidates)) if bits >> i & 1]
-        member_bits = sum(1 << v for v in members)
-        if all(adjacency_bits[v] & member_bits == 0 for v in members):
-            out.append(tuple(members))
-    return out

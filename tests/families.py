@@ -1,5 +1,7 @@
-"""Deterministic graph and coloring builders shared by the test suite, and
-the `eliminate` helper that reaches the engine's private color elimination."""
+"""Deterministic graph and coloring builders shared by the test suite, the
+graph writer and special-independent-set enumeration the tests check
+against, and the `eliminate` helper that reaches the engine's private color
+elimination."""
 
 from __future__ import annotations
 
@@ -10,9 +12,12 @@ from recolorwalk import (
     Coloring,
     Graph,
     RecoloringSequence,
+    StateSpaceTooLarge,
     degeneracy_ordering,
-    embedded_ordering,
 )
+from recolorwalk.layering import embedded_ordering
+
+_ENUMERATION_LIMIT = 20
 
 
 def path_graph(n: int) -> Graph:
@@ -101,6 +106,35 @@ def random_theta(rng: random.Random, n: int) -> Graph:
         edges.extend(zip(chain, chain[1:]))
         edges.append((chain[-1], 1))
     return Graph.from_edges(n, edges)
+
+
+def serialize_graph(g: Graph) -> str:
+    """The graph text format: header `n m`, then one `u v` line per edge."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def enumerate_special_is(g: Graph, d: int) -> list[tuple[int, ...]]:
+    """All independent sets whose members have degree at most d - 1 in g.
+
+    Includes the empty set. Enumeration order is by candidate bitmask, so
+    the result is deterministic.
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if g.n > _ENUMERATION_LIMIT:
+        raise StateSpaceTooLarge(
+            f"n = {g.n} too large for subset enumeration (limit {_ENUMERATION_LIMIT})")
+    candidates = [v for v in range(g.n) if g.degree(v) <= d - 1]
+    adjacency_bits = {v: sum(1 << w for w in g.adjacency[v]) for v in candidates}
+    out: list[tuple[int, ...]] = []
+    for bits in range(1 << len(candidates)):
+        members = [candidates[i] for i in range(len(candidates)) if bits >> i & 1]
+        member_bits = sum(1 << v for v in members)
+        if all(adjacency_bits[v] & member_bits == 0 for v in members):
+            out.append(tuple(members))
+    return out
 
 
 def random_proper_coloring(rng: random.Random, g: Graph, k: int) -> Coloring:

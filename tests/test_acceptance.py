@@ -34,7 +34,6 @@ from recolorwalk import (
     recolor_theorem_pipeline,
     sequence_stats,
     serialize_coloring,
-    serialize_graph,
     validate_partition,
     verify_sequence,
     walk_bound,
@@ -42,7 +41,7 @@ from recolorwalk import (
 from recolorwalk.cli import main as cli_main
 
 import families
-from families import eliminate
+from families import eliminate, serialize_graph
 
 HALF = Fraction(1, 2)
 

@@ -12,11 +12,11 @@ from recolorwalk import (
     degree_partition_from_degeneracy,
     recolor_between,
     serialize_coloring,
-    serialize_graph,
 )
 from recolorwalk.cli import main
 
 import families
+from families import serialize_graph
 
 P3 = "3 2\n0 1\n1 2\n"
 K3 = "3 3\n0 1\n0 2\n1 2\n"
@@ -304,6 +304,18 @@ def test_oracle_distance_cap_counts_vertices(files, capsys, monkeypatch):
     assert capsys.readouterr().out == "3\n"
     monkeypatch.setenv("RECOLOR_STATE_CAP", "2999")
     assert main(argv) == 3
+
+
+def test_oracle_diameter_cap_counts_vertices(files, capsys, monkeypatch):
+    # Each of the diameter's searches scans every vertex of every state too:
+    # on `7 0` with k = 3, 654 colorings x 3^7 x 7 scans exceed the default
+    # cap, so the run stops at once instead of searching for tens of seconds.
+    monkeypatch.delenv("RECOLOR_STATE_CAP", raising=False)
+    assert main(["oracle", files("g.txt", "7 0\n"), "-k", "3", "--diameter"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: at least 654 colorings x k^n x n = 3^7 x 7 "
+                            "states x vertices exceed the state cap 10000000\n")
 
 
 def test_report_is_deterministic(files, tmp_path, capsys):

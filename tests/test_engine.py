@@ -29,21 +29,19 @@ from recolorwalk import (
     bfs_distance,
     build_degree_partition,
     degree_partition_from_degeneracy,
-    elim_bound,
-    embedded_ordering,
     recolor_between,
     recolor_theorem_pipeline,
     reduce_palette,
     sequence_stats,
     serialize_coloring,
-    serialize_graph,
     verify_sequence,
     walk_bound,
 )
 from recolorwalk.cli import main
+from recolorwalk.layering import embedded_ordering
 
 import families
-from families import eliminate
+from families import eliminate, serialize_graph
 
 HALF = Fraction(1, 2)
 
@@ -663,13 +661,13 @@ class TestStats:
 
 class TestBounds:
     def test_pinned_values(self):
-        assert elim_bound(0, 5) == 1
-        assert elim_bound(1, 2) == 17
-        assert elim_bound(1, 3) == 25
+        assert engine._elim_bound(0, 5) == 1
+        assert engine._elim_bound(1, 2) == 17
+        assert engine._elim_bound(1, 3) == 25
         assert walk_bound(0, 9) == 1
         assert walk_bound(1, 2) == 37
         assert walk_bound(1, 3) == 53
-        assert elim_bound(2, 3) == 9 * (2 + 2 * 25) + 1 == 469
+        assert engine._elim_bound(2, 3) == 9 * (2 + 2 * 25) + 1 == 469
         assert walk_bound(2, 3) == 2 * 469 + 2 + 53 == 993
 
 
@@ -726,17 +724,15 @@ def test_trace_observes_and_never_steers():
 
 PUBLIC_SURFACE = [
     "Coloring", "DEFAULT_STATE_CAP", "DegreePartition", "EliminationTrace",
-    "EmbeddedOrdering", "Graph", "GraphFormatError", "ImproperInput",
+    "Graph", "GraphFormatError", "ImproperInput",
     "PaletteTooSmall", "RecolorStats", "RecoloringSequence", "RecoloringStep",
     "RecolorwalkError", "SequenceViolation", "SizeGuaranteeViolated",
     "SpecialISParams", "StateSpaceTooLarge", "WorkSets", "bfs_distance",
     "build_degree_partition", "count_proper_colorings",
-    "decode_coloring", "degeneracy_ordering", "degree_partition_from_degeneracy",
-    "elim_bound", "embedded_ordering", "encode_coloring",
-    "enumerate_special_is", "exact_diameter", "is_proper",
-    "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
+    "degeneracy_ordering", "degree_partition_from_degeneracy",
+    "exact_diameter", "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
     "partition_round_bound", "recolor_between", "recolor_theorem_pipeline",
-    "reduce_palette", "sequence_stats", "serialize_coloring", "serialize_graph",
+    "reduce_palette", "sequence_stats", "serialize_coloring",
     "serialize_partition", "validate_partition",
     "verify_sequence", "walk_bound",
 ]
@@ -745,9 +741,20 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     # Growing or shrinking the exported names must show up in this list.
     assert sorted(recolorwalk.__all__) == PUBLIC_SURFACE
-    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 45
+    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 37
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
+
+
+def test_readme_entry_points_are_exported():
+    # Every name the README's "Key entry points" paragraph offers is one the
+    # package exports, so the docs and `__all__` cannot drift apart.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = next(block for block in readme.split("\n\n")
+                     if block.startswith("Key entry points:"))
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert "recolor_between" in names
+    assert sorted(set(names) - set(recolorwalk.__all__)) == []
 
 
 _O_PROBE = """

@@ -10,17 +10,18 @@ from recolorwalk import (
     Coloring,
     Graph,
     GraphFormatError,
+    ImproperInput,
     StateSpaceTooLarge,
     degeneracy_ordering,
-    is_proper,
     mad_brute,
     mad_exact,
     parse_coloring,
     parse_graph,
-    serialize_graph,
 )
+from recolorwalk.graphs import check_coloring
 
 import families
+from families import serialize_graph
 
 
 @st.composite
@@ -107,17 +108,20 @@ class TestParse:
 
 
 class TestProperness:
+    # `check_coloring` returns None on a proper coloring and raises
+    # ImproperInput when some edge is monochromatic.
     def test_path_examples(self):
         p3 = families.path_graph(3)
-        assert is_proper(p3, Coloring((1, 2, 1), 3))
-        assert not is_proper(p3, Coloring((1, 1, 2), 3))
+        assert check_coloring(p3, Coloring((1, 2, 1), 3), "c", 3) is None
+        with pytest.raises(ImproperInput, match="^c is not a proper coloring$"):
+            check_coloring(p3, Coloring((1, 1, 2), 3), "c", 3)
 
     def test_triangle(self):
-        assert is_proper(families.complete_graph(3), Coloring((1, 2, 3), 3))
+        assert check_coloring(families.complete_graph(3), Coloring((1, 2, 3), 3), "c", 3) is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
-            is_proper(families.path_graph(3), Coloring((1, 2), 3))
+            check_coloring(families.path_graph(3), Coloring((1, 2), 3), "c", 3)
 
     @settings(max_examples=40)
     @given(graphs(max_n=6), st.randoms(use_true_random=False))
@@ -125,7 +129,11 @@ class TestProperness:
         colors = tuple(rnd.randint(1, 3) for _ in range(g.n))
         c = Coloring(colors, 3)
         direct = all(colors[u] != colors[v] for u, v in g.edges())
-        assert is_proper(g, c) == direct
+        if direct:
+            assert check_coloring(g, c, "c", 3) is None
+        else:
+            with pytest.raises(ImproperInput):
+                check_coloring(g, c, "c", 3)
 
 
 class TestDegeneracy:

@@ -11,14 +11,14 @@ from recolorwalk import (
     build_degree_partition,
     degree_partition_from_degeneracy,
     degeneracy_ordering,
-    embedded_ordering,
-    enumerate_special_is,
     partition_round_bound,
     serialize_partition,
     validate_partition,
 )
+from recolorwalk.layering import embedded_ordering
 
 import families
+from families import enumerate_special_is
 
 HALF = Fraction(1, 2)
 

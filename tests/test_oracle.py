@@ -13,15 +13,14 @@ from recolorwalk import (
     StateSpaceTooLarge,
     bfs_distance,
     count_proper_colorings,
-    decode_coloring,
     degeneracy_ordering,
-    encode_coloring,
-    enumerate_special_is,
     exact_diameter,
 )
 from recolorwalk.cli import main
+from recolorwalk.oracle import _decode, _encode
 
 import families
+from families import enumerate_special_is
 
 
 class TestCodes:
@@ -30,11 +29,11 @@ class TestCodes:
            st.randoms(use_true_random=False))
     def test_round_trip(self, n, k, rnd):
         colors = tuple(rnd.randint(1, k) for _ in range(n))
-        assert decode_coloring(encode_coloring(colors, k), n, k) == colors
+        assert _decode(_encode(colors, k), n, k) == colors
 
     def test_vertex_zero_is_least_significant(self):
-        assert encode_coloring((2, 1), 3) == 1
-        assert encode_coloring((1, 2), 3) == 3
+        assert _encode((2, 1), 3) == 1
+        assert _encode((1, 2), 3) == 3
 
 
 class TestCount:
@@ -136,9 +135,10 @@ class TestDiameter:
         assert exact_diameter(families.complete_graph(3), 2) is None
 
     def test_cap_counts_colorings_times_states(self):
-        # k^n = 100 fits the cap, but one search per coloring charges 100 x 100.
-        with pytest.raises(StateSpaceTooLarge, match=r"^at least 11 colorings x k\^n = "
-                           r"10\^2 states exceed the state cap 1000$"):
+        # k^n = 100 fits the cap, but one search per coloring, each scanning
+        # both vertices of every state, charges colorings x 100 x 2.
+        with pytest.raises(StateSpaceTooLarge, match=r"^at least 6 colorings x k\^n x n = "
+                           r"10\^2 x 2 states x vertices exceed the state cap 1000$"):
             exact_diameter(families.empty_graph(2), 10, cap=1000)
 
     def test_matches_pairwise_maximum(self):
@@ -146,7 +146,7 @@ class TestDiameter:
         k = 3
         colorings = []
         for code in range(k ** g.n):
-            colors = decode_coloring(code, g.n, k)
+            colors = _decode(code, g.n, k)
             if all(colors[u] != colors[v] for u, v in g.edges()):
                 colorings.append(Coloring(colors, k))
         best = max(bfs_distance(g, k, a, b)
