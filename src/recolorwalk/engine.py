@@ -21,17 +21,25 @@ Masks are lists in embedded order, never tuples built from generators (see
 owns, not the graph's size or the largest color value.
 
 A walk stays flat from construction to every replay: each side records two
-int lists, the vertices and the colors the two-sided walk writes for them;
-the walk is the alpha side's records followed by the beta side's reversed,
+int lists, the vertices and the colors the two-sided walk writes for them,
 and a `RecoloringSequence` holds the vertices and new colors as two tuples.
 `recolorwalk verify` parses a sequence file into the same form. No per-step
 object is built unless a caller asks for `RecoloringSequence.steps`.
+
+Records are compacted as they are made (`_WalkState`): a vertex's move
+merges into its previous record while no neighbor has moved since, and a
+merge that returns the vertex to its earlier color drops the record. The
+construction, its colorings and `walk_bound` are unchanged; only what the
+walk records is shorter. `recolor_between` joins the alpha side's records
+to the beta side's reversed and records that walk once more with the same
+rule, which merges across the seam.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Callable, Iterable, Sequence
 
 from .errors import PaletteTooSmall, SequenceViolation
@@ -91,7 +99,8 @@ class WorkSets:
     `depth` is the layer-depth budget of the enclosing elimination. The two
     promoted sets are the earlier-layer vertices that each promotion sweep
     left on the target and on the replacement color; `w_a_recolor_counts`
-    the steps per cleared vertex, in ascending id; `inner_mask_later_degree`
+    the moves per cleared vertex, in ascending id, whether or not the walk
+    merged them into earlier records; `inner_mask_later_degree`
     the largest within-mask later-layer degree of the unpromoted rest (-1
     when empty), which the recursion requires to be strictly below `depth`.
     """
@@ -116,13 +125,26 @@ class _WalkState:
     ordering's `order` and `layer_of`, and the `trace` (or None) that gets one
     WorkSets per inner layer-clearing call. `colors` is the current coloring.
 
-    Step i recolored `vertices[i]`, and `emitted[i]` is the color the walk
-    writes for it: the new color, or, on a `backward` side (whose steps the
-    walk replays in reverse), the color the step left.
+    Record i recolors `vertices[i]`, and `emitted[i]` is the color the walk
+    writes for it: the new color, or, on a `backward` side (whose records the
+    walk replays in reverse), the color the record's first move left.
+
+    Records are compacted as they are made. `last[v]` is the record a move of
+    v may merge into (-1 for none), and `before[v]` the color v held before
+    that record's first move. Every appended record of v clears `last[w]` for
+    each neighbor w, so while `last[v] >= 0` no neighbor has moved since that
+    record began: at that time every neighbor held its current color, so the
+    merged move could have been made there. A move back to `before[v]`
+    cancels the record instead (vertex -1, dropped from the walk). Merges and
+    cancels need no neighbor pass: while `last[v] >= 0` every neighbor's
+    `last` is -1, cleared when v's record began and not set since, as setting
+    it would have cleared `last[v]`. When traced, `moves`
+    counts each vertex's moves in promotion sweeps and layer recolorings,
+    merged or not, for `_clear_layer`'s WorkSets; it is None otherwise.
     """
 
     __slots__ = ("adjacency", "layer_of", "order", "trace", "colors",
-                 "backward", "vertices", "emitted")
+                 "backward", "vertices", "emitted", "last", "before", "moves")
 
     def __init__(self, g: Graph, ord_: EmbeddedOrdering, start: Coloring,
                  trace: EliminationTrace | None, backward: bool = False):
@@ -134,24 +156,48 @@ class _WalkState:
         self.backward = backward
         self.vertices: list[int] = []
         self.emitted: list[int] = []
+        self.last = [-1] * g.n
+        self.before = [0] * g.n
+        self.moves = None if trace is None else Counter()
 
     def recolor(self, v: int, color: int) -> None:
-        self.vertices.append(v)
-        self.emitted.append(self.colors[v] if self.backward else color)
+        r = self.last[v]
+        if r < 0:
+            old = self.colors[v]
+            self.last[v] = len(self.vertices)
+            self.before[v] = old
+            self.vertices.append(v)
+            self.emitted.append(old if self.backward else color)
+            last = self.last
+            for w in self.adjacency[v]:
+                last[w] = -1
+        elif color == self.before[v]:
+            self.vertices[r] = -1
+            self.last[v] = -1
+        elif not self.backward:
+            self.emitted[r] = color
         self.colors[v] = color
+
+    def walk(self, initial: Coloring) -> RecoloringSequence:
+        """The live records of a forward side as a walk from `initial`."""
+        live = [v >= 0 for v in self.vertices]
+        return RecoloringSequence(initial, tuple(compress(self.vertices, live)),
+                                  tuple(compress(self.emitted, live)))
 
 
 def _promote(state: _WalkState, mask: Sequence[int], target: int) -> frozenset[int]:
     # Scan masked vertices from the last position toward the first,
     # recoloring each to `target` whenever no neighbor currently holds it;
     # return the masked vertices that hold `target` afterwards. The sweeps
-    # make most of a walk's steps, so they record them inline rather than
-    # through `state.recolor`.
+    # make most of a walk's moves, so they record them inline, with the
+    # merge rule of `_WalkState.recolor`.
     taken = set()
+    moved = []
     colors = state.colors
     adjacency = state.adjacency
     backward = state.backward
     vertices, emitted = state.vertices, state.emitted
+    last, before = state.last, state.before
     for v in reversed(mask):
         old = colors[v]
         if old == target:
@@ -161,10 +207,24 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> frozenset[i
             if colors[w] == target:
                 break
         else:
-            vertices.append(v)
-            emitted.append(old if backward else target)
+            r = last[v]
+            if r < 0:
+                last[v] = len(vertices)
+                before[v] = old
+                vertices.append(v)
+                emitted.append(old if backward else target)
+                for w in adjacency[v]:
+                    last[w] = -1
+            elif target == before[v]:
+                vertices[r] = -1
+                last[v] = -1
+            elif not backward:
+                emitted[r] = target
             colors[v] = target
-            taken.add(v)
+            moved.append(v)
+    taken.update(moved)
+    if state.moves is not None:
+        state.moves.update(moved)
     return frozenset(taken)
 
 
@@ -240,30 +300,37 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: list[int],
     u ends target-free again. When u | w_a has no internal forward edges the
     direct recoloring alone is already proper. `w_a` is sorted.
     """
-    first = len(state.vertices)
+    moves = state.moves
+    if moves is not None:
+        entry = [moves[v] for v in w_a]
     members = set(u).union(w_a)
     # No later-layer edge inside u | w_a: the direct recoloring is safe.
     if depth == 0 or _later_degree(state, members, members) <= 0:
-        for v in w_a:
-            state.recolor(v, a)
+        _recolor_layer(state, w_a, a)
         promoted_first = promoted_second = inner = frozenset()
     else:
         promoted_first = _promote(state, u, target)
         inner = [v for v in u if v not in promoted_first]
         _eliminate(state, a, palette - {target}, inner)
-        for v in w_a:
-            state.recolor(v, a)
+        _recolor_layer(state, w_a, a)
         promoted_second = _promote(state, u, a)
         _eliminate(state, target, palette - {a}, [v for v in u if v not in promoted_second])
-    if state.trace is not None:
-        moved = Counter(state.vertices[first:])
+    if moves is not None:
         state.trace.claims.append(WorkSets(
             depth=depth,
             promoted_to_target=tuple(sorted(promoted_first)),
             promoted_to_color=tuple(sorted(promoted_second)),
-            w_a_recolor_counts=tuple([moved[v] for v in w_a]),
+            w_a_recolor_counts=tuple([moves[v] - m for v, m in zip(w_a, entry)]),
             inner_mask_later_degree=_later_degree(state, inner, set(inner)),
         ))
+
+
+def _recolor_layer(state: _WalkState, w_a: list[int], a: int) -> None:
+    # `_clear_layer`'s direct recoloring of w_a to `a`, counted when traced.
+    for v in w_a:
+        state.recolor(v, a)
+    if state.moves is not None:
+        state.moves.update(w_a)
 
 
 def _between(a_state: _WalkState, b_state: _WalkState, mask: Sequence[int],
@@ -331,8 +398,7 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, embedded_ordering(p), c, None)
     _reduce(state, target_size)
-    seq = RecoloringSequence(c, tuple(state.vertices), tuple(state.emitted))
-    return _checked_walk(g, seq, k,
+    return _checked_walk(g, state.walk(c), k,
                          lambda colors: max(colors) <= target_size,
                          f"at most {target_size} colors")
 
@@ -344,9 +410,14 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
 
     Both sides are first reduced to s+2 colors, then recursively driven to a
     common coloring (purge top color, promote toward it, recurse on the rest
-    with one color fewer). The emitted sequence is the alpha-side steps
-    followed by the beta-side steps reversed, each reversed step restoring
-    the color the vertex held before that step.
+    with one color fewer). Each side records its moves compacted (see
+    `_WalkState`). The joined walk, the alpha side's records followed by the
+    beta side's reversed, each of those restoring the color its record's
+    first move left, is then recorded once more through a fresh forward
+    side, whose merge rule also merges moves across the seam. So the emitted
+    walk is not the construction's moves verbatim: a vertex's consecutive
+    moves with no neighbor move between them become one step, or none when
+    they return it to its earlier color.
     """
     _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
     if k < p.s + 2:
@@ -358,9 +429,13 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     for state in (a_state, b_state):
         _reduce(state, p.s + 2)
     _between(a_state, b_state, ord_.order, frozenset(range(1, p.s + 3)))
-    seq = RecoloringSequence(alpha, tuple(a_state.vertices + b_state.vertices[::-1]),
-                             tuple(a_state.emitted + b_state.emitted[::-1]))
-    return _checked_walk(g, seq, k, lambda colors: colors == beta.colors, "beta")
+    joined = _WalkState(g, ord_, alpha, None)
+    for v, c in chain(zip(a_state.vertices, a_state.emitted),
+                      zip(reversed(b_state.vertices), reversed(b_state.emitted))):
+        if v >= 0:
+            joined.recolor(v, c)
+    return _checked_walk(g, joined.walk(alpha), k,
+                         lambda colors: colors == beta.colors, "beta")
 
 
 def recolor_theorem_pipeline(

@@ -161,4 +161,4 @@ def eliminate(g, p, boundary, c, target, palette, mask=None, trace=None) -> Reco
     scope = tuple(v for v in ord_.order if v in masked and ord_.layer_of[v] < boundary)
     state = engine._WalkState(g, ord_, c, trace)
     engine._eliminate(state, target, frozenset(palette), scope)
-    return RecoloringSequence(c, tuple(state.vertices), tuple(state.emitted))
+    return state.walk(c)

@@ -59,7 +59,7 @@ def promote(g, ord_, c, target, mask):
     masked = set(mask)
     ordered = tuple(v for v in ord_.order if v in masked)
     taken = tuple(sorted(engine._promote(state, ordered, target)))
-    return RecoloringSequence(c, tuple(state.vertices), tuple(state.emitted)), taken
+    return state.walk(c), taken
 
 
 class TestGreedyPromote:
@@ -260,7 +260,7 @@ class TestDeclaredPalette:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert steps_as_pairs(seq) == [(0, 2), (2, 2), (1, 1), (1, 3), (1, 1)]
+        assert steps_as_pairs(seq) == [(0, 2), (2, 2), (1, 1)]
         assert peak < 2 ** 20
 
     def test_sparse_colors_match_their_compaction(self):
@@ -349,8 +349,8 @@ def reduce_corpus_digest():
 
 # A change that alters emitted walks on purpose updates these constants and
 # quotes the old and the new digests in CHANGES.md.
-PINNED_WALK_DIGEST = "e7f70404f441dba7aae7c7aa7acf722588e318f0f1cd6a98ae02e2f1c41e6d66"
-PINNED_REDUCE_DIGEST = "b54a14f58e13003c129a10b909c33dfaa5959504e372817770032fb4783dcaab"
+PINNED_WALK_DIGEST = "268037262967cf72e5b9edfe8ec0d91a53fa7f636d057ea70d21eb16b62adf8b"
+PINNED_REDUCE_DIGEST = "64d8acb85358eeeafa5c54f3c207ce8cca1a2b5fb19b7d369c7e67e0ba5ef8ac"
 
 
 def test_walks_match_the_pinned_digest():
@@ -359,6 +359,102 @@ def test_walks_match_the_pinned_digest():
 
 def test_reductions_match_the_pinned_digest():
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
+
+
+class TestCompaction:
+    # The merge rule of `_WalkState`, on the path 0 - 1 - 2 colored 1, 2, 1
+    # with four colors.
+    P3 = families.path_graph(3)
+    START = Coloring((1, 2, 1), 4)
+
+    def side(self, backward=False):
+        return engine._WalkState(self.P3, embedded_ordering(P3_PARTITION), self.START,
+                                 None, backward)
+
+    def records(self, state):
+        return [(v, c) for v, c in zip(state.vertices, state.emitted) if v >= 0]
+
+    def end(self, state):
+        return verify_sequence(self.P3, self.START, state.walk(self.START), 4).colors
+
+    def test_second_move_merges(self):
+        state = self.side()
+        state.recolor(0, 3)
+        state.recolor(0, 4)
+        assert self.records(state) == [(0, 4)]
+        assert self.end(state) == (4, 2, 1)
+
+    def test_neighbor_move_blocks_the_merge(self):
+        state = self.side()
+        state.recolor(0, 3)
+        state.recolor(1, 4)
+        state.recolor(0, 2)
+        assert self.records(state) == [(0, 3), (1, 4), (0, 2)]
+        assert self.end(state) == (2, 4, 1)
+
+    def test_move_of_a_non_neighbor_does_not_block(self):
+        state = self.side()
+        state.recolor(0, 3)
+        state.recolor(2, 3)
+        state.recolor(0, 4)
+        assert self.records(state) == [(0, 4), (2, 3)]
+        assert self.end(state) == (4, 2, 3)
+
+    def test_return_to_the_earlier_color_cancels(self):
+        state = self.side()
+        state.recolor(0, 3)
+        state.recolor(0, 1)
+        assert self.records(state) == []
+        assert state.walk(self.START).vertices == ()
+        # The cancelled record takes no later move: the next one is new.
+        state.recolor(0, 3)
+        assert self.records(state) == [(0, 3)]
+
+    def test_backward_side_keeps_the_color_it_left(self):
+        # Replayed in reverse, the record takes vertex 0 from 4 back to 1.
+        state = self.side(backward=True)
+        state.recolor(0, 3)
+        state.recolor(0, 4)
+        assert self.records(state) == [(0, 1)]
+        state.recolor(0, 1)
+        assert self.records(state) == []
+
+    def test_sweeps_use_the_same_rule(self):
+        state = self.side()
+        engine._promote(state, [0, 2], 3)
+        engine._promote(state, [0, 2], 4)
+        assert self.records(state) == [(2, 4), (0, 4)]
+        engine._promote(state, [0, 2], 1)
+        assert self.records(state) == []
+        engine._promote(state, [1], 3)
+        engine._promote(state, [0], 2)
+        assert self.records(state) == [(1, 3), (0, 2)]
+        assert self.end(state) == (2, 3, 1)
+
+    def test_seam_merges(self):
+        # Alone, the alpha side records (1, 3) and the beta side, reversed,
+        # (1, 2) then (0, 3): joined, vertex 1 returns to its color across
+        # the seam, and one step is left.
+        alpha, beta = Coloring((1, 2, 1), 3), Coloring((3, 2, 1), 3)
+        assert steps_as_pairs(recolor_between(self.P3, P3_PARTITION, alpha, beta, 3)) == [(0, 3)]
+        assert recolor_between(self.P3, P3_PARTITION, alpha, alpha, 3).vertices == ()
+
+
+def test_walks_stay_near_the_optimum():
+    # 60 seeded trees on 7 vertices, k = 3, degeneracy partitions: the walks
+    # total at most twice the exact distances (1.70 here; 4.87 when every
+    # move of the construction was emitted).
+    rng = random.Random(0)
+    steps = optimum = 0
+    for _ in range(60):
+        g = families.random_tree(rng, 7)
+        p = degree_partition_from_degeneracy(g)
+        alpha = families.random_proper_coloring(rng, g, 3)
+        beta = families.random_proper_coloring(rng, g, 3)
+        steps += len(recolor_between(g, p, alpha, beta, 3).vertices)
+        optimum += bfs_distance(g, 3, alpha, beta)
+    assert optimum == 355
+    assert steps <= 2 * optimum
 
 
 class TestRecolorBetween:
@@ -597,9 +693,10 @@ class TestVerifySequence:
 
 def test_walk_peak_bytes_per_step():
     # The walk is kept as flat int lists and tuples, with no object per
-    # step: one `recolor_between` on a 1000-vertex tree peaks at most at 64
-    # traced bytes per emitted step (41 here; 159 with a frozen step object
-    # per step).
+    # step, and compacted as it is built: one `recolor_between` on a
+    # 1000-vertex tree peaks at most at 64 traced bytes per move of its
+    # 63,696-move construction (16 here; 41 when every move was kept as a
+    # step, 159 with a frozen step object per step).
     rng = random.Random(1000)
     g = families.random_tree(rng, 1000)
     p = build_degree_partition(g, SpecialISParams(3, HALF))
@@ -612,24 +709,25 @@ def test_walk_peak_bytes_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(seq.vertices) > 10_000
-    assert peak / len(seq.vertices) <= 64
+    assert len(seq.vertices) > 5_000
+    assert peak <= 64 * 63_696
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_walk_leaves_no_tuples_behind(seed):
     # A walk whose result is dropped leaves at most 16 KiB traced once it
-    # returns (2.3 KiB here). Masks built as tuple(<generator>) left 80-265
+    # returns (2.6 KiB here). Masks built as tuple(<generator>) left 80-265
     # KiB on these instances: each small tuple freed parks its block in
     # CPython's per-size tuple free lists, which only a full collection
-    # empties, and which pin allocator arenas between requests.
+    # empties, and which pin allocator arenas between requests. The walks
+    # are 884-2,202 steps long.
     rng = random.Random(seed)
     g = families.random_graph(rng, 100, 0.025)
     p = degree_partition_from_degeneracy(g)
     k = p.s + 5
     alpha = families.random_proper_coloring(rng, g, k)
     beta = families.random_proper_coloring(rng, g, k)
-    assert len(recolor_between(g, p, alpha, beta, k).vertices) > 5_000
+    assert len(recolor_between(g, p, alpha, beta, k).vertices) > 800
     gc.collect()
     tracemalloc.start()
     try:
@@ -770,7 +868,9 @@ def corrupt(state, mask, target):
     taken = promote(state, mask, target)
     if not done:
         v = min(v for v in mask if state.adjacency[v])
-        state.recolor(v, state.colors[state.adjacency[v][0]])
+        w, old = state.adjacency[v][0], state.colors[v]
+        state.recolor(v, state.colors[w])
+        state.recolor(w, old)
         done.append(v)
     return taken
 
@@ -788,8 +888,8 @@ else:
 
 def test_walk_check_survives_python_O():
     # The first promotion sweep also records a step that copies a neighbor's
-    # color, as `_corrupting_promote` does: the exit replay must reject the
-    # walk with asserts stripped too.
+    # color, then moves that neighbor, as `_corrupting_promote` does: the
+    # exit replay must reject the walk with asserts stripped too.
     src = str(Path(recolorwalk.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-O", "-c", _O_PROBE], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
@@ -799,7 +899,9 @@ def test_walk_check_survives_python_O():
 
 def _corrupting_promote(monkeypatch):
     # The first promotion sweep also records a step that copies a
-    # neighbor's color: an improper walk the exit replay must catch.
+    # neighbor's color: an improper walk the exit replay must catch. The
+    # neighbor then moves, so no later move of the vertex can merge the bad
+    # step away: a step only merges while no neighbor has moved since.
     promote = engine._promote
     done = []
 
@@ -807,7 +909,9 @@ def _corrupting_promote(monkeypatch):
         taken = promote(state, mask, target)
         if not done:
             v = min(v for v in mask if state.adjacency[v])
-            state.recolor(v, state.colors[state.adjacency[v][0]])
+            w, old = state.adjacency[v][0], state.colors[v]
+            state.recolor(v, state.colors[w])
+            state.recolor(w, old)
             done.append(v)
         return taken
     monkeypatch.setattr(engine, "_promote", corrupt)
