@@ -41,8 +41,8 @@ from .errors import (
     SizeGuaranteeViolated,
     StateSpaceTooLarge,
 )
-from .graphs import (Coloring, mad_brute, mad_exact, parse_coloring, parse_graph,
-                     serialize_coloring)
+from .graphs import (Coloring, check_coloring, mad_brute, mad_exact, parse_coloring,
+                     parse_graph, serialize_coloring)
 from .layering import (
     SpecialISParams,
     build_degree_partition,
@@ -245,6 +245,7 @@ def _cmd_recolor(args, report: dict) -> int:
 def _cmd_verify(args, report: dict) -> int:
     g = parse_graph(_read_input(args.graph, "graph", report))
     alpha = parse_coloring(_read_input(args.from_path, "from", report), g.n, args.k)
+    check_coloring(g, alpha, "from", args.k)
     seq = _parse_steps(_read_input(args.sequence, "sequence", report), alpha)
     final = verify_sequence(g, alpha, seq, args.k)
     answer = "OK final=" + " ".join(str(c) for c in final.colors)

@@ -223,6 +223,18 @@ def test_verify_detects_corruption(files, tmp_path, capsys):
     assert "step 1" in capsys.readouterr().err
 
 
+def test_verify_improper_from_coloring(files, capsys):
+    # The same exit as `recolor` on an improper input coloring, before any
+    # step is replayed.
+    graph = files("p3.txt", P3)
+    frm = files("from.txt", "1 1 2\n")
+    seq = files("seq.txt", "")
+    assert main(["verify", graph, frm, seq, "-k", "3"]) == 5
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: from is not a proper coloring")
+
+
 def test_verify_skips_comments_and_blank_lines(files, capsys):
     graph = files("p3.txt", P3)
     frm = files("from.txt", "1 2 1\n")

@@ -363,16 +363,19 @@ def test_reductions_match_the_pinned_digest():
 
 class TestCompaction:
     # The merge rule of `_WalkState`, on the path 0 - 1 - 2 colored 1, 2, 1
-    # with four colors.
+    # with four colors. A record is (vertex, color left); `steps` are the
+    # live records with the new colors `walk` reads back.
     P3 = families.path_graph(3)
     START = Coloring((1, 2, 1), 4)
 
-    def side(self, backward=False):
-        return engine._WalkState(self.P3, embedded_ordering(P3_PARTITION), self.START,
-                                 None, backward)
+    def side(self):
+        return engine._WalkState(self.P3, embedded_ordering(P3_PARTITION), self.START, None)
 
     def records(self, state):
-        return [(v, c) for v, c in zip(state.vertices, state.emitted) if v >= 0]
+        return [(v, c) for v, c in zip(state.vertices, state.left) if v >= 0]
+
+    def steps(self, state):
+        return steps_as_pairs(state.walk(self.START))
 
     def end(self, state):
         return verify_sequence(self.P3, self.START, state.walk(self.START), 4).colors
@@ -381,7 +384,8 @@ class TestCompaction:
         state = self.side()
         state.recolor(0, 3)
         state.recolor(0, 4)
-        assert self.records(state) == [(0, 4)]
+        assert self.records(state) == [(0, 1)]
+        assert self.steps(state) == [(0, 4)]
         assert self.end(state) == (4, 2, 1)
 
     def test_neighbor_move_blocks_the_merge(self):
@@ -389,7 +393,8 @@ class TestCompaction:
         state.recolor(0, 3)
         state.recolor(1, 4)
         state.recolor(0, 2)
-        assert self.records(state) == [(0, 3), (1, 4), (0, 2)]
+        assert self.records(state) == [(0, 1), (1, 2), (0, 3)]
+        assert self.steps(state) == [(0, 3), (1, 4), (0, 2)]
         assert self.end(state) == (2, 4, 1)
 
     def test_move_of_a_non_neighbor_does_not_block(self):
@@ -397,7 +402,8 @@ class TestCompaction:
         state.recolor(0, 3)
         state.recolor(2, 3)
         state.recolor(0, 4)
-        assert self.records(state) == [(0, 4), (2, 3)]
+        assert self.records(state) == [(0, 1), (2, 1)]
+        assert self.steps(state) == [(0, 4), (2, 3)]
         assert self.end(state) == (4, 2, 3)
 
     def test_return_to_the_earlier_color_cancels(self):
@@ -408,11 +414,15 @@ class TestCompaction:
         assert state.walk(self.START).vertices == ()
         # The cancelled record takes no later move: the next one is new.
         state.recolor(0, 3)
-        assert self.records(state) == [(0, 3)]
+        assert state.vertices == [-1, 0]
+        assert self.records(state) == [(0, 1)]
+        assert self.steps(state) == [(0, 3)]
 
-    def test_backward_side_keeps_the_color_it_left(self):
-        # Replayed in reverse, the record takes vertex 0 from 4 back to 1.
-        state = self.side(backward=True)
+    def test_record_keeps_the_color_it_left(self):
+        # Merges leave the record's color alone, so replayed in reverse, as
+        # the beta side is, the record takes vertex 0 from 4 back to 1; a
+        # return to that color cancels it.
+        state = self.side()
         state.recolor(0, 3)
         state.recolor(0, 4)
         assert self.records(state) == [(0, 1)]
@@ -423,13 +433,81 @@ class TestCompaction:
         state = self.side()
         engine._promote(state, [0, 2], 3)
         engine._promote(state, [0, 2], 4)
-        assert self.records(state) == [(2, 4), (0, 4)]
+        assert self.records(state) == [(2, 1), (0, 1)]
+        assert self.steps(state) == [(2, 4), (0, 4)]
         engine._promote(state, [0, 2], 1)
         assert self.records(state) == []
         engine._promote(state, [1], 3)
         engine._promote(state, [0], 2)
-        assert self.records(state) == [(1, 3), (0, 2)]
+        assert self.records(state) == [(1, 2), (0, 1)]
+        assert self.steps(state) == [(1, 3), (0, 2)]
         assert self.end(state) == (2, 3, 1)
+
+    @staticmethod
+    def random_instance(rng):
+        # A seeded graph on at most 12 vertices, k = 4 or 5, and a proper
+        # start coloring.
+        k = rng.randint(4, 5)
+        while True:
+            g = families.random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5))
+            p = degree_partition_from_degeneracy(g)
+            if p.s < k:
+                return g, embedded_ordering(p), k, families.random_proper_coloring(rng, g, k)
+
+    def test_sweeps_match_the_reference_sweep(self):
+        # `_promote` copies `recolor`'s rule inline: on random sweeps it
+        # keeps the same records, `last` and colors as a sweep that calls
+        # `recolor` for each vertex free to move to the target.
+        rng = random.Random(1300)
+        cancels = 0
+        for _ in range(40):
+            g, ord_, k, start = self.random_instance(rng)
+            state = engine._WalkState(g, ord_, start, None)
+            twin = engine._WalkState(g, ord_, start, None)
+            for _ in range(30):
+                mask = [v for v in ord_.order if rng.random() < 0.6]
+                target = rng.randint(1, k)
+                engine._promote(state, mask, target)
+                for v in reversed(mask):
+                    if twin.colors[v] != target and all(
+                            twin.colors[w] != target for w in g.adjacency[v]):
+                        twin.recolor(v, target)
+                assert (state.vertices, state.left, state.last, state.colors) == \
+                    (twin.vertices, twin.left, twin.last, twin.colors)
+            cancels += state.vertices.count(-1)
+        assert cancels > 0
+
+    def test_walk_reads_back_the_new_colors(self):
+        # Random proper moves, with returns to earlier colors and neighbor
+        # moves between a vertex's moves: the walk ends at the state's
+        # coloring, and the live records reversed, each restoring the color
+        # it left, lead back to the start, as the beta half is replayed.
+        rng = random.Random(1301)
+        cancels = merges = blocked = 0
+        for _ in range(40):
+            g, ord_, k, start = self.random_instance(rng)
+            state = engine._WalkState(g, ord_, start, None)
+            busy = rng.sample(range(g.n), min(g.n, 3))
+            moves = 0
+            for _ in range(60):
+                v = rng.choice(busy)
+                free = [c for c in range(1, k + 1) if c != state.colors[v]
+                        and all(state.colors[w] != c for w in g.adjacency[v])]
+                if free:
+                    state.recolor(v, rng.choice(free))
+                    moves += 1
+            live = [(v, c) for v, c in zip(state.vertices, state.left) if v >= 0]
+            # A move that appends no record merges or cancels.
+            cancels += state.vertices.count(-1)
+            merges += moves - len(state.vertices) - state.vertices.count(-1)
+            # A vertex's second live record began after a neighbor moved.
+            blocked += len(live) - len({v for v, _ in live})
+            end = tuple(state.colors)
+            assert verify_sequence(g, start, state.walk(start), k).colors == end
+            back = RecoloringSequence(Coloring(end, k), tuple(v for v, _ in reversed(live)),
+                                      tuple(c for _, c in reversed(live)))
+            assert verify_sequence(g, back.initial, back, k).colors == start.colors
+        assert cancels > 0 and merges > 0 and blocked > 0
 
     def test_seam_merges(self):
         # Alone, the alpha side records (1, 3) and the beta side, reversed,
