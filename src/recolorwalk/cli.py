@@ -9,9 +9,9 @@ The oracle's k^n cap (default 10^7) can be overridden with the
 RECOLOR_STATE_CAP environment variable.
 
 This module owns the sequence-file format, one "vertex new_color" step per
-line: `_format_steps` writes it for `recolor --out` and `_parse_steps` reads
-it for `verify`, both in bulk, the reader in slices of about 16 KiB of whole
-lines.
+line in the line grammar stated in `graphs`: `_format_steps` writes it for
+`recolor --out` and `_parse_steps` reads it for `verify`, both in bulk, the
+reader in slices of about 16 KiB of whole lines.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import (
     SizeGuaranteeViolated,
     StateSpaceTooLarge,
 )
-from .graphs import (Coloring, check_coloring, mad_brute, mad_exact, parse_coloring,
-                     parse_graph, serialize_coloring)
+from .graphs import (Coloring, check_coloring, content_lines, int_pair, mad_brute, mad_exact,
+                     parse_coloring, parse_graph, serialize_coloring)
 from .layering import (
     SpecialISParams,
     build_degree_partition,
@@ -146,15 +146,8 @@ def _parse_steps(text: str, alpha: Coloring) -> RecoloringSequence:
 def _raise_step_fault(text: str) -> NoReturn:
     # The format read line by line: the reference `_parse_steps` must agree
     # with, run only once a slice has failed, to raise at the first bad line.
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            # Unpacking fails, as int() does, unless there are two fields.
-            v, c = map(int, line.split())
-        except ValueError:
-            raise GraphFormatError("expected step 'vertex color'", line_no) from None
+    for line_no, fields in content_lines(text):
+        int_pair(fields, line_no, "step 'vertex color'")
     raise RuntimeError("a slice of the sequence file failed its bulk parse, but no line did")
 
 

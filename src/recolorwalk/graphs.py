@@ -3,9 +3,13 @@
 Densities are exact `fractions.Fraction` values throughout; no float ever
 enters a comparison. Text formats:
 
-* graph file: first non-comment line is ``n m``; then exactly m lines
-  ``u v`` with ``0 <= u < v < n``. Lines starting with ``#`` and blank
-  lines are ignored. A duplicate edge is an error, not a silent merge.
+* line grammar, shared by the graph file and the sequence file that `cli`
+  reads: a line that is blank, or whose first non-blank character is ``#``,
+  is skipped; every other line holds exactly two integers. A ``#`` after a
+  line's first field is not a comment.
+* graph file: the first line not skipped is ``n m``; then exactly m lines
+  ``u v`` with ``0 <= u < v < n``. A duplicate edge is an error, not a
+  silent merge.
 * coloring file: n whitespace-separated integers in ``{1..k}``, vertex
   order ``0..n-1``.
 """
@@ -81,38 +85,42 @@ class Coloring:
                 raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
 
 
+def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each line the line grammar reads."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield line_no, fields
+
+
+def int_pair(fields: list[str], line_no: int, expected: str) -> tuple[int, int]:
+    """The line's two integers, else GraphFormatError "expected <expected>"."""
+    try:
+        # Unpacking fails, as int() does, unless there are exactly two fields.
+        a, b = fields
+        return int(a), int(b)
+    except ValueError:
+        raise GraphFormatError(f"expected {expected}", line_no) from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format, reporting the offending line on error."""
-    header_seen = False
-    n = m = 0
-    edges: list[tuple[int, int]] = []
+    lines = content_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise GraphFormatError("missing header 'n m'")
+    line_no, fields = header
+    n, m = int_pair(fields, line_no, "header 'n m'")
+    if n < 1:
+        raise GraphFormatError("vertex count must be at least 1", line_no)
+    if m < 0:
+        raise GraphFormatError("edge count must be non-negative", line_no)
+    # Each edge, in file order, mapped to the line it appeared on.
     first_line: dict[tuple[int, int], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if not header_seen:
-            if len(fields) != 2:
-                raise GraphFormatError("expected header 'n m'", line_no)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError("expected header 'n m'", line_no) from None
-            if n < 1:
-                raise GraphFormatError("vertex count must be at least 1", line_no)
-            if m < 0:
-                raise GraphFormatError("edge count must be non-negative", line_no)
-            header_seen = True
-            continue
-        if len(edges) == m:
+    for line_no, fields in lines:
+        if len(first_line) == m:
             raise GraphFormatError(f"more than {m} edge lines", line_no)
-        if len(fields) != 2:
-            raise GraphFormatError("expected edge 'u v'", line_no)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError("expected edge 'u v'", line_no) from None
+        u, v = int_pair(fields, line_no, "edge 'u v'")
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", line_no)
         if not 0 <= u < v < n:
@@ -123,12 +131,9 @@ def parse_graph(text: str) -> Graph:
                 f"duplicate edge ({u}, {v}), first seen at line {first_line[(u, v)]}",
                 line_no)
         first_line[(u, v)] = line_no
-        edges.append((u, v))
-    if not header_seen:
-        raise GraphFormatError("missing header 'n m'")
-    if len(edges) != m:
-        raise GraphFormatError(f"expected {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if len(first_line) != m:
+        raise GraphFormatError(f"expected {m} edges, found {len(first_line)}")
+    return Graph.from_edges(n, first_line)
 
 
 def parse_coloring(text: str, n: int, k: int) -> Coloring:

@@ -291,6 +291,14 @@ def test_oracle_cap_from_environment(files, capsys, monkeypatch):
     assert main(["oracle", files("p3.txt", P3), "-k", "3", "--count"]) == 3
 
 
+def test_oracle_cap_must_be_an_integer(files, capsys, monkeypatch):
+    monkeypatch.setenv("RECOLOR_STATE_CAP", "1e6")
+    assert main(["oracle", files("p3.txt", P3), "-k", "3", "--count"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: RECOLOR_STATE_CAP is not an integer: '1e6'"]
+
+
 def test_oracle_diameter_cap_counts_colorings(files, capsys, monkeypatch):
     # k^n = 100 fits the cap, but one search per coloring charges 100 x 100.
     monkeypatch.setenv("RECOLOR_STATE_CAP", "1000")

@@ -572,6 +572,14 @@ class TestRecolorBetween:
             recolor_between(p3, P3_PARTITION, Coloring((1, 1, 2), 3),
                             Coloring((1, 2, 1), 3), 3)
 
+    def test_invalid_partition(self):
+        p3 = families.path_graph(3)
+        alpha, beta = Coloring((1, 2, 1), 3), Coloring((2, 1, 2), 3)
+        with pytest.raises(ValueError) as info:
+            recolor_between(p3, DegreePartition(1, ((0,), (2,))), alpha, beta, 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "invalid partition: vertex 1 uncovered"
+
     def test_palette_too_small(self):
         p3 = families.path_graph(3)
         with pytest.raises(PaletteTooSmall):
@@ -742,6 +750,23 @@ class TestVerifySequence:
         with pytest.raises(SequenceViolation) as info:
             verify_sequence(p3, alpha, RecoloringSequence(alpha, (), ()), 3)
         assert info.value.step_index == -1
+
+    def test_start_of_the_wrong_length(self):
+        alpha = Coloring((1, 2), 3)
+        with pytest.raises(ValueError) as info:
+            verify_sequence(families.path_graph(3), alpha,
+                            RecoloringSequence(alpha, (), ()), 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "coloring has 2 entries for 3 vertices"
+
+    def test_start_color_outside_the_palette(self):
+        # The coloring's own palette is 4; the replay's is 3.
+        alpha = Coloring((1, 2, 4), 4)
+        with pytest.raises(SequenceViolation) as info:
+            verify_sequence(families.path_graph(3), alpha,
+                            RecoloringSequence(alpha, (), ()), 3)
+        assert info.value.step_index == -1
+        assert str(info.value) == "step -1: initial color of vertex 2 outside 1..3"
 
     @pytest.mark.parametrize("fault,reason", [
         ((7, 2), "vertex 7 out of range"),

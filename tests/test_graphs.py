@@ -91,6 +91,32 @@ class TestParse:
         g = parse_graph("# a path\n\n3 2\n0 1\n# middle\n1 2\n")
         assert g.m == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("# n m\n3\n", "line 2: expected header 'n m'"),
+        ("3 x\n", "line 1: expected header 'n m'"),
+        ("3 -1\n", "line 1: edge count must be non-negative"),
+        ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+        ("3 1\n\n0 y\n", "line 3: expected edge 'u v'"),
+        # A "#" after the first field does not start a comment.
+        ("2 1\n0 1 # c\n", "line 2: expected edge 'u v'"),
+    ])
+    def test_malformed_lines(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (0, [], "graph must have at least one vertex"),
+        (3, [(0, 3)], "edge (0, 3) out of range"),
+        (3, [(1, 1)], "self-loop at vertex 1"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ])
+    def test_from_edges_rejects(self, n, edges, message):
+        # The library constructor checks its edges itself, apart from the parser.
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(n, edges)
+        assert type(info.value) is ValueError and str(info.value) == message
+
     @settings(max_examples=60)
     @given(graphs())
     def test_serialize_round_trip(self, g):
@@ -122,6 +148,16 @@ class TestProperness:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
             check_coloring(families.path_graph(3), Coloring((1, 2), 3), "c", 3)
+
+    @pytest.mark.parametrize("colors,k,message", [
+        ((), 0, "palette size must be positive"),
+        ((1, 3, 1), 2, "vertex 1 has color 3 outside 1..2"),
+        ((1, 0), 2, "vertex 1 has color 0 outside 1..2"),
+    ])
+    def test_coloring_rejects_its_palette(self, colors, k, message):
+        with pytest.raises(ValueError) as info:
+            Coloring(colors, k)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     @settings(max_examples=40)
     @given(graphs(max_n=6), st.randoms(use_true_random=False))

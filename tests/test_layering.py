@@ -185,6 +185,11 @@ class TestValidate:
         report = validate_partition(p3, DegreePartition(1, ((0, 2), (), (1,))))
         assert report is not None and "empty" in report
 
+    def test_out_of_range_vertex(self):
+        p3 = families.path_graph(3)
+        report = validate_partition(p3, DegreePartition(1, ((0, 2), (1, 3))))
+        assert report == "layer 2 contains out-of-range vertex 3"
+
 
 class TestEmbeddedOrdering:
     def test_concatenation(self):

@@ -51,6 +51,11 @@ class TestCount:
         with pytest.raises(StateSpaceTooLarge):
             count_proper_colorings(families.empty_graph(4), 2, cap=10)
 
+    def test_rejects_an_empty_palette(self):
+        with pytest.raises(ValueError) as info:
+            count_proper_colorings(families.path_graph(3), 0)
+        assert type(info.value) is ValueError and str(info.value) == "k must be positive"
+
     def test_more_vertices_than_the_recursion_limit(self, tmp_path, capsys):
         # With k = 1, k^n stays under the cap on any number of vertices, so
         # the search must reach every vertex without one frame per vertex.
