@@ -17,6 +17,7 @@ reader in slices of about 16 KiB of whole lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -266,6 +267,11 @@ def _cmd_oracle(args, report: dict) -> int:
     return 0
 
 
+# Built once per process: in-process callers of `main`, such as the tests and
+# bench/run.py, would otherwise rebuild the whole tree on every request.
+# `parse_args` leaves the parser as it found it, and the `_cmd_*` functions
+# look up what they call as module globals at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recolorwalk",

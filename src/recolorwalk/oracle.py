@@ -2,10 +2,15 @@
 
 States are encoded in base k with vertex 0 least significant; searches
 generate neighbors in ascending vertex order, then ascending color order, so
-every answer is deterministic. Everything here is desk-scale machinery
-guarded by a cap (default 10^7) on k^n, charged for the work each search
-scans: k^n x n (states x vertices) for the distance, colorings x k^n x n for
-the diameter.
+every answer is deterministic. Both searches go level by level through one
+shared expansion that marks states in a byte per state. The distance search
+runs from both ends, one full level of the smaller frontier at a time, and
+stops at the first state the other end has marked: while the two sides'
+balls are disjoint the distance exceeds the sum of their radii, so marks
+alone give the exact answer. The diameter runs a one-sided search from every
+coloring. Everything here is desk-scale machinery guarded by a cap (default
+10^7) on k^n, charged for the work each search may scan: k^n x n (states x
+vertices) for the distance, colorings x k^n x n for the diameter.
 """
 
 from __future__ import annotations
@@ -72,43 +77,47 @@ def _proper_codes(g: Graph, k: int) -> Iterator[int]:
             stack.append((v + 1, code + (c - 1) * powers[v], 1))
 
 
-def _bfs_levels(g: Graph, k: int, start: int, total: int,
-                goal: int | None = None):
-    """Level-by-level BFS from `start`. Returns (distance to goal, ...) when
-    `goal` is given and reached, else (None, reached count, eccentricity)."""
-    powers = [k ** v for v in range(g.n)]
+def _expand(g: Graph, k: int, frontier: list[int], marks: bytearray,
+            side: int) -> list[int] | None:
+    """One BFS level: mark every unmarked neighbor of the `frontier` states
+    with `side` and return them, or None at the first neighbor another side
+    has marked."""
+    n = g.n
+    powers = [k ** v for v in range(n)]
     adjacency = g.adjacency
     palette = range(1, k + 1)
-    visited = bytearray(total)
-    visited[start] = 1
+    next_frontier: list[int] = []
+    for code in frontier:
+        colors = _decode(code, n, k)
+        for v in range(n):
+            current = colors[v]
+            # The colors v cannot take: its own and its neighbors'.
+            blocked = {colors[w] for w in adjacency[v]}
+            blocked.add(current)
+            for c in palette:
+                if c in blocked:
+                    continue
+                neighbor = code + (c - current) * powers[v]
+                mark = marks[neighbor]
+                if not mark:
+                    marks[neighbor] = side
+                    next_frontier.append(neighbor)
+                elif mark != side:
+                    return None
+    return next_frontier
+
+
+def _bfs_levels(g: Graph, k: int, start: int, total: int) -> tuple[int, int]:
+    """Level-by-level BFS from `start`: (states reached, eccentricity)."""
+    marks = bytearray(total)
+    marks[start] = 1
     frontier = [start]
     reached = 1
-    distance = 0
     eccentricity = 0
-    while frontier:
-        distance += 1
-        next_frontier: list[int] = []
-        for code in frontier:
-            colors = _decode(code, g.n, k)
-            for v in range(g.n):
-                current = colors[v]
-                # The colors v cannot take: its own and its neighbors'.
-                blocked = {colors[w] for w in adjacency[v]}
-                blocked.add(current)
-                for c in palette:
-                    if c in blocked:
-                        continue
-                    neighbor = code + (c - current) * powers[v]
-                    if goal is not None and neighbor == goal:
-                        return distance, reached, eccentricity
-                    if not visited[neighbor]:
-                        visited[neighbor] = 1
-                        reached += 1
-                        next_frontier.append(neighbor)
-        if next_frontier:
-            eccentricity = distance
-        frontier = next_frontier
-    return None, reached, eccentricity
+    while frontier := _expand(g, k, frontier, marks, 1):
+        reached += len(frontier)
+        eccentricity += 1
+    return reached, eccentricity
 
 
 def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
@@ -116,8 +125,16 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
     """Exact shortest walk length between two proper colorings, or None
     when they lie in different components.
 
-    The search scans every vertex of every state it reaches, so the cap
-    bounds k^n x n: StateSpaceTooLarge when that product exceeds it.
+    The search runs from both ends. One byte per state marks alpha's side 1
+    and beta's side 2; each round expands the smaller frontier (alpha's on a
+    tie) by one full level, and the answer is the number of levels expanded
+    once a level reaches a state the other side has marked. Marks alone are
+    enough: while no state is marked by both sides, the distance exceeds
+    d_alpha + d_beta, so the first meeting is at d_alpha + d_beta + 1. An
+    empty frontier means the other end is unreachable.
+
+    The search may scan every vertex of every state, so the cap bounds
+    k^n x n: StateSpaceTooLarge when that product exceeds it.
     """
     total, limit = _checked_total(g, k, cap)
     if total * g.n > limit:
@@ -129,8 +146,20 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
     goal = _encode(beta.colors, k)
     if start == goal:
         return 0
-    distance, _, _ = _bfs_levels(g, k, start, total, goal=goal)
-    return distance
+    marks = bytearray(total)
+    marks[start] = 1
+    marks[goal] = 2
+    frontiers = {1: [start], 2: [goal]}
+    levels = 0
+    while True:
+        side = 1 if len(frontiers[1]) <= len(frontiers[2]) else 2
+        frontier = _expand(g, k, frontiers[side], marks, side)
+        levels += 1
+        if frontier is None:
+            return levels
+        if not frontier:
+            return None
+        frontiers[side] = frontier
 
 
 def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
@@ -153,7 +182,7 @@ def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
         return None
     best = 0
     for source in codes:
-        _, reached, eccentricity = _bfs_levels(g, k, source, total)
+        reached, eccentricity = _bfs_levels(g, k, source, total)
         if reached < len(codes):
             return None
         best = max(best, eccentricity)

@@ -1,7 +1,7 @@
 """Deterministic graph and coloring builders shared by the test suite, the
-graph writer and special-independent-set enumeration the tests check
-against, and the `eliminate` helper that reaches the engine's private color
-elimination."""
+graph writer, special-independent-set enumeration and the one-sided distance
+search the tests check against, and the `eliminate` helper that reaches the
+engine's private color elimination."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from recolorwalk import (
     degeneracy_ordering,
 )
 from recolorwalk.layering import embedded_ordering
+from recolorwalk.oracle import _decode, _encode
 
 _ENUMERATION_LIMIT = 20
 
@@ -135,6 +136,40 @@ def enumerate_special_is(g: Graph, d: int) -> list[tuple[int, ...]]:
         if all(adjacency_bits[v] & member_bits == 0 for v in members):
             out.append(tuple(members))
     return out
+
+
+def bfs_distance_one_sided(g: Graph, k: int, alpha: Coloring, beta: Coloring) -> int | None:
+    """Exact distance by a level-by-level search from alpha alone, stopping
+    at the level that reaches beta; None when beta is never reached. The
+    reference the oracle's two-sided `bfs_distance` must agree with."""
+    powers = [k ** v for v in range(g.n)]
+    start, goal = _encode(alpha.colors, k), _encode(beta.colors, k)
+    if start == goal:
+        return 0
+    visited = bytearray(k ** g.n)
+    visited[start] = 1
+    frontier = [start]
+    distance = 0
+    while frontier:
+        distance += 1
+        next_frontier = []
+        for code in frontier:
+            colors = _decode(code, g.n, k)
+            for v in range(g.n):
+                current = colors[v]
+                blocked = {colors[w] for w in g.adjacency[v]}
+                blocked.add(current)
+                for c in range(1, k + 1):
+                    if c in blocked:
+                        continue
+                    neighbor = code + (c - current) * powers[v]
+                    if neighbor == goal:
+                        return distance
+                    if not visited[neighbor]:
+                        visited[neighbor] = 1
+                        next_frontier.append(neighbor)
+        frontier = next_frontier
+    return None
 
 
 def random_proper_coloring(rng: random.Random, g: Graph, k: int) -> Coloring:

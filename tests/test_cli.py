@@ -385,3 +385,42 @@ def test_stdout_carries_only_the_answer(files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "4\n"
     assert captured.err == ""
+
+
+def test_one_parser_serves_every_call_in_a_process(files, tmp_path, capsys):
+    # `main` builds its parser once per process. Each call in a run of mixed
+    # commands must still give what it gives as the only call on a freshly
+    # built parser: a failed parse, the flags of one call and the oracle's
+    # mutually exclusive modes leave nothing behind for the next.
+    graph = files("p3.txt", P3)
+    frm, to = files("from.txt", "1 2 1\n"), files("to.txt", "2 1 2\n")
+    seq, report = str(tmp_path / "seq.txt"), tmp_path / "report.json"
+    calls = [
+        ["oracle", graph, "-k", "3"],
+        ["oracle", graph, "-k", "3", "--count"],
+        ["oracle", graph, "-k", "3", "--distance", frm, to],
+        ["recolor", graph, frm, to, "-k", "4", "--degenerate-fallback", "--out", seq],
+        ["recolor", graph, frm, to, "-k", "3", "-d", "2", "--epsilon", "1/2",
+         "--out", seq, "--report", str(report)],
+        ["verify", graph, frm, seq, "-k", "3"],
+    ]
+
+    def run(argv):
+        report.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        written = report.read_text() if report.exists() else None
+        return code, captured.out, captured.err, written
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    assert alone[0][0] == ("SystemExit", 2)
+    assert [outcome[0] for outcome in alone[1:]] == [0] * 5
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert cli._build_parser.cache_info().misses == 1

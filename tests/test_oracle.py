@@ -4,11 +4,12 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recolorwalk import (
     Coloring,
+    Graph,
     ImproperInput,
     StateSpaceTooLarge,
     bfs_distance,
@@ -17,7 +18,7 @@ from recolorwalk import (
     exact_diameter,
 )
 from recolorwalk.cli import main
-from recolorwalk.oracle import _decode, _encode
+from recolorwalk.oracle import _decode, _encode, _proper_codes
 
 import families
 from families import enumerate_special_is
@@ -124,6 +125,38 @@ class TestDistance:
             d02 = bfs_distance(g, k, cols[0], cols[2])
             if None not in (d01, d12, d02):
                 assert d02 <= d01 + d12
+
+    @pytest.mark.parametrize("g, k, alpha, beta, expected", [
+        # identical endpoints
+        (families.path_graph(3), 3, (1, 2, 1), (1, 2, 1), 0),
+        # frozen: neither side has a move
+        (families.complete_graph(3), 3, (1, 2, 3), (2, 1, 3), None),
+        (families.complete_graph(2), 2, (1, 2), (2, 1), None),
+        # disconnected but not frozen: only the isolated vertex can move, so
+        # each side's frontier grows for a level before it empties
+        (Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), 3, (1, 2, 3, 1), (2, 1, 3, 2), None),
+        # the two sides meet during the level beta's side expands
+        (families.empty_graph(2), 2, (1, 1), (2, 2), 2),
+    ])
+    def test_matches_the_one_sided_search_on_named_cases(self, g, k, alpha, beta, expected):
+        alpha, beta = Coloring(alpha, k), Coloring(beta, k)
+        assert families.bfs_distance_one_sided(g, k, alpha, beta) == expected
+        assert bfs_distance(g, k, alpha, beta) == expected
+        assert bfs_distance(g, k, beta, alpha) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_one_sided_search(self, rnd):
+        # Dense graphs with few colors give frozen colorings and disconnected
+        # pairs; one draw in eight compares a coloring with itself.
+        n, k = rnd.randint(1, 7), rnd.randint(2, 4)
+        g = families.random_graph(rnd, n, rnd.random())
+        codes = list(_proper_codes(g, k))
+        assume(codes)
+        alpha = rnd.choice(codes)
+        beta = alpha if rnd.random() < 1 / 8 else rnd.choice(codes)
+        alpha, beta = (Coloring(_decode(c, n, k), k) for c in (alpha, beta))
+        assert bfs_distance(g, k, alpha, beta) == families.bfs_distance_one_sided(g, k, alpha, beta)
 
 
 class TestDiameter:
