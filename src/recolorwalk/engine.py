@@ -16,9 +16,12 @@ walk producers, `reduce_palette` and `recolor_between` (which
 and check its promised end state before returning, so a fault surfaces as a
 SequenceViolation, also under `python -O`, rather than as an invalid walk.
 
-Masks are lists in embedded order, never tuples built from generators (see
-`_eliminate`), and palettes hold the colors in play, so a call costs what it
-owns, not the graph's size or the largest color value.
+Masks are lists or slices in embedded order, never tuples built from
+generators (see `_eliminate`), and palettes hold the colors in play, so a
+call costs what it owns, not the graph's size or the largest color value.
+Each elimination round slices its mask by layer, so masks must stay in
+embedded order: `_promote` returns the vertices it leaves in mask order, and
+that list is the next mask.
 
 A walk stays flat from construction to every replay: each side records two
 int lists, a record being a vertex and the color it left, and a
@@ -38,6 +41,7 @@ once more with the same rule, which merges across the seam.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -187,24 +191,24 @@ class _WalkState:
                                   tuple(reversed(new_colors)))
 
 
-def _promote(state: _WalkState, mask: Sequence[int], target: int) -> frozenset[int]:
+def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     # Scan masked vertices from the last position toward the first,
-    # recoloring each to `target` whenever no neighbor currently holds it;
-    # return the masked vertices that hold `target` afterwards. The sweeps
+    # recoloring each to `target` whenever no neighbor currently holds it.
+    # Returns the masked vertices left off `target`, in mask order: the next
+    # mask of `_between` and the rest `_clear_layer` recurses on. The sweeps
     # make most of a walk's moves, so they copy `_WalkState.recolor`'s rule
     # inline: calling it made `recolor_between` 12 % slower on 1000-vertex trees.
-    taken = set()
-    moved = []
+    rest = []
     colors = state.colors
     adjacency = state.adjacency
-    vertices, left, last = state.vertices, state.left, state.last
+    vertices, left, last, moves = state.vertices, state.left, state.last, state.moves
     for v in reversed(mask):
         old = colors[v]
         if old == target:
-            taken.add(v)
             continue
         for w in adjacency[v]:
             if colors[w] == target:
+                rest.append(v)
                 break
         else:
             r = last[v]
@@ -218,11 +222,10 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> frozenset[i
                 vertices[r] = -1
                 last[v] = -1
             colors[v] = target
-            moved.append(v)
-    taken.update(moved)
-    if state.moves is not None:
-        state.moves.update(moved)
-    return frozenset(taken)
+            if moves is not None:
+                moves[v] += 1
+    rest.reverse()
+    return rest
 
 
 def _later_degree(state: _WalkState, vertices: Iterable[int],
@@ -244,6 +247,39 @@ def _later_degree(state: _WalkState, vertices: Iterable[int],
     return best
 
 
+def _has_edge(state: _WalkState, vertices: Iterable[int], among: set[int]) -> bool:
+    # Whether some vertex of `vertices` has a neighbor in `among`, stopping at
+    # the first. Layers are independent, so inside one vertex set every edge
+    # joins an earlier layer to a later one.
+    adjacency = state.adjacency
+    for v in vertices:
+        for w in adjacency[v]:
+            if w in among:
+                return True
+    return False
+
+
+def _depth(state: _WalkState, mask: Sequence[int], palette: frozenset[int]) -> int:
+    # Layer-depth budget of an elimination: the most later-layer neighbors of
+    # a masked vertex that could ever hold a palette color during the call,
+    # masked ones (they stay inside the palette) plus unmasked ones currently
+    # colored from it; 0 for none.
+    adjacency = state.adjacency
+    layer_of = state.layer_of
+    colors = state.colors
+    members = set(mask)
+    depth = 0
+    for v in mask:
+        lv = layer_of[v]
+        count = 0
+        for w in adjacency[v]:
+            if layer_of[w] > lv and (w in members or colors[w] in palette):
+                count += 1
+        if count > depth:
+            depth = count
+    return depth
+
+
 def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
                mask: Sequence[int]) -> None:
     """Purge `target` from the masked vertices.
@@ -252,42 +288,48 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     round recolors only masked vertices of its own layer and earlier ones,
     so the layers above it still hold `target` exactly where they did on
     entry. Callers cut the mask to the layers they may touch.
+
+    The mask must be in embedded order: layers never decrease along it, so
+    a round's earlier layers are a prefix of the mask and its own layer a
+    slice, both found by bisecting the mask's layers.
     """
     if not mask:
         return
     layer_of = state.layer_of
     colors = state.colors
     adjacency = state.adjacency
-    # Neighbors that could ever hold a palette color during this call:
-    # masked ones (they stay inside the palette) plus unmasked ones
-    # currently colored from it.
-    members = set(mask)
-    holders = {w for v in mask for w in adjacency[v]
-               if w in members or colors[w] in palette}
-    depth = max(_later_degree(state, mask, holders), 0)
+    depth = _depth(state, mask, palette)
     if len(palette) < depth + 2:
         raise PaletteTooSmall(
             f"palette of {len(palette)} colors cannot clear a color at layer "
             f"depth {depth}; at least {depth + 2} colors are needed")
+    layers = [layer_of[v] for v in mask]
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
-        # Masks are lists: tuple(<generator>) allocates at a guessed size
-        # and resizes, so each small mask freed parks a block in CPython's
-        # per-size tuple free lists (2000 a size), which only a full
-        # collection empties and which pin allocator arenas meanwhile.
-        u = [v for v in mask if layer_of[v] < h]
-        w = [v for v in mask if layer_of[v] == h and colors[v] == target]
+        # Masks are lists or slices, never tuple(<generator>): that allocates
+        # at a guessed size and resizes, so each small mask freed parks a
+        # block in CPython's per-size tuple free lists (2000 a size), which
+        # only a full collection empties and which pin allocator arenas
+        # meanwhile.
+        start = bisect_left(layers, h)
+        u = mask[:start]
+        w = [v for v in mask[start:bisect_right(layers, h, start)] if colors[v] == target]
         for a in sorted(palette - {target}):
             if not w:
                 break
-            w_a = [v for v in w
-                   if all(colors[x] != a for x in adjacency[v] if layer_of[x] > h)]
+            w_a = []
+            for v in w:
+                for x in adjacency[v]:
+                    if colors[x] == a and layer_of[x] > h:
+                        break
+                else:
+                    w_a.append(v)
             if not w_a:
                 continue
             _clear_layer(state, target, a, u, w_a, depth, palette)
             w = [v for v in w if colors[v] == target]
 
 
-def _clear_layer(state: _WalkState, target: int, a: int, u: list[int],
+def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
                  w_a: list[int], depth: int, palette: frozenset[int]) -> None:
     """Move the w_a vertices from `target` to `a`, recoloring only u | w_a.
 
@@ -300,23 +342,24 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: list[int],
     moves = state.moves
     if moves is not None:
         entry = [moves[v] for v in w_a]
-    members = set(u).union(w_a)
-    # No later-layer edge inside u | w_a: the direct recoloring is safe.
-    if depth == 0 or _later_degree(state, members, members) <= 0:
+    # No later-layer edge inside u | w_a: the direct recoloring is safe. Each
+    # such edge has an end in u, w_a being part of one layer.
+    if depth == 0 or not _has_edge(state, u, set(u).union(w_a)):
         _recolor_layer(state, w_a, a)
-        promoted_first = promoted_second = inner = frozenset()
+        swept = inner = rest = ()
     else:
-        promoted_first = _promote(state, u, target)
-        inner = [v for v in u if v not in promoted_first]
+        swept = u
+        inner = _promote(state, u, target)
         _eliminate(state, a, palette - {target}, inner)
         _recolor_layer(state, w_a, a)
-        promoted_second = _promote(state, u, a)
-        _eliminate(state, target, palette - {a}, [v for v in u if v not in promoted_second])
+        rest = _promote(state, u, a)
+        _eliminate(state, target, palette - {a}, rest)
     if moves is not None:
+        # A sweep promoted the vertices of its mask it did not return.
         state.trace.claims.append(WorkSets(
             depth=depth,
-            promoted_to_target=tuple(sorted(promoted_first)),
-            promoted_to_color=tuple(sorted(promoted_second)),
+            promoted_to_target=tuple(sorted(set(swept).difference(inner))),
+            promoted_to_color=tuple(sorted(set(swept).difference(rest))),
             w_a_recolor_counts=tuple([moves[v] - m for v, m in zip(w_a, entry)]),
             inner_mask_later_degree=_later_degree(state, inner, set(inner)),
         ))
@@ -345,9 +388,9 @@ def _between(a_state: _WalkState, b_state: _WalkState, mask: Sequence[int],
         target = max(palette)
         _eliminate(a_state, target, palette, mask)
         _eliminate(b_state, target, palette, mask)
-        promoted = _promote(a_state, mask, target)
+        rest = _promote(a_state, mask, target)
         _promote(b_state, mask, target)
-        mask = [v for v in mask if v not in promoted]
+        mask = rest
         palette -= {target}
     for v in sorted(v for v in mask if a_state.colors[v] != b_state.colors[v]):
         a_state.recolor(v, b_state.colors[v])

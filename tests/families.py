@@ -1,6 +1,7 @@
 """Deterministic graph and coloring builders shared by the test suite, the
-graph writer, special-independent-set enumeration and the one-sided distance
-search the tests check against, and the `eliminate` helper that reaches the
+graph writer, special-independent-set enumeration, the one-sided distance
+search and the engine's first-written layer-depth and later-edge predicates
+the tests check against, and the `eliminate` helper that reaches the
 engine's private color elimination."""
 
 from __future__ import annotations
@@ -197,3 +198,21 @@ def eliminate(g, p, boundary, c, target, palette, mask=None, trace=None) -> Reco
     state = engine._WalkState(g, ord_, c, trace)
     engine._eliminate(state, target, frozenset(palette), scope)
     return state.walk(c)
+
+
+def depth_reference(state, mask, palette) -> int:
+    """`engine._depth` as first written: collect the neighbors of masked
+    vertices that are masked or hold a palette color, then take the largest
+    later-layer count among them over the mask, at least 0."""
+    members = set(mask)
+    holders = {w for v in mask for w in state.adjacency[v]
+               if w in members or state.colors[w] in palette}
+    return max(engine._later_degree(state, mask, holders), 0)
+
+
+def later_edge_reference(state, vertices) -> bool:
+    """`_clear_layer`'s first-written test for a later-layer edge inside
+    `vertices`: the full later-degree count over every member, where
+    `engine._has_edge` stops at the first edge."""
+    members = set(vertices)
+    return engine._later_degree(state, members, members) > 0

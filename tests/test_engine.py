@@ -54,11 +54,12 @@ def steps_as_pairs(seq):
 
 def promote(g, ord_, c, target, mask):
     # One greedy promotion sweep over a fresh walk state: its steps and the
-    # masked vertices left holding `target`.
+    # masked vertices left holding `target`, which are those the sweep does
+    # not return.
     state = engine._WalkState(g, ord_, c, None)
     masked = set(mask)
     ordered = tuple(v for v in ord_.order if v in masked)
-    taken = tuple(sorted(engine._promote(state, ordered, target)))
+    taken = tuple(sorted(set(ordered).difference(engine._promote(state, ordered, target))))
     return state.walk(c), taken
 
 
@@ -361,6 +362,57 @@ def test_reductions_match_the_pinned_digest():
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
 
 
+def test_masks_stay_in_embedded_order(monkeypatch):
+    # `_eliminate` finds a round's layers by bisecting its mask, which needs
+    # strictly increasing embedded positions along every mask it receives:
+    # from `_reduce`, from `_between` and from its own recursion.
+    eliminate = engine._eliminate
+    callers = set()
+
+    def checked(state, target, palette, mask):
+        position = {v: i for i, v in enumerate(state.order)}
+        ranks = [position[v] for v in mask]
+        assert all(x < y for x, y in zip(ranks, ranks[1:])), mask
+        callers.add(sys._getframe(1).f_code.co_name)
+        return eliminate(state, target, palette, mask)
+    monkeypatch.setattr(engine, "_eliminate", checked)
+    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
+    assert callers == {"_reduce", "_between", "_clear_layer"}
+
+
+def test_depth_and_edge_test_match_their_references():
+    # `_depth` counts in one pass, and `_clear_layer` asks `_has_edge` for
+    # any edge from u into u | w_a, stopping at the first; on seeded graphs,
+    # masks, palettes and colorings both agree with the first-written
+    # predicates in `families`.
+    rng = random.Random(1600)
+    found = 0
+    for i in range(200):
+        if i % 2:
+            g = families.random_tree(rng, rng.randint(1, 30))
+            p = build_degree_partition(g, SpecialISParams(3, HALF))
+        else:
+            g = families.random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5))
+            p = degree_partition_from_degeneracy(g)
+        ord_ = embedded_ordering(p)
+        k = p.s + rng.randint(2, 4)
+        state = engine._WalkState(g, ord_, families.random_proper_coloring(rng, g, k), None)
+        mask = [v for v in ord_.order if rng.random() < 0.7]
+        palette = frozenset(rng.sample(range(1, k + 1), rng.randint(2, k)))
+        assert engine._depth(state, mask, palette) == \
+            families.depth_reference(state, mask, palette)
+        assert engine._has_edge(state, mask, set(mask)) == \
+            families.later_edge_reference(state, mask)
+        h = rng.randrange(p.t)
+        u = [v for v in mask if ord_.layer_of[v] < h]
+        w_a = [v for v in mask if ord_.layer_of[v] == h and rng.random() < 0.7]
+        edge = engine._has_edge(state, u, set(u).union(w_a))
+        assert edge == families.later_edge_reference(state, u + w_a)
+        found += edge
+    assert 20 < found < 180
+
+
 class TestCompaction:
     # The merge rule of `_WalkState`, on the path 0 - 1 - 2 colored 1, 2, 1
     # with four colors. A record is (vertex, color left); `steps` are the
@@ -457,7 +509,8 @@ class TestCompaction:
     def test_sweeps_match_the_reference_sweep(self):
         # `_promote` copies `recolor`'s rule inline: on random sweeps it
         # keeps the same records, `last` and colors as a sweep that calls
-        # `recolor` for each vertex free to move to the target.
+        # `recolor` for each vertex free to move to the target, and returns
+        # the masked vertices left off the target, in mask order.
         rng = random.Random(1300)
         cancels = 0
         for _ in range(40):
@@ -467,13 +520,14 @@ class TestCompaction:
             for _ in range(30):
                 mask = [v for v in ord_.order if rng.random() < 0.6]
                 target = rng.randint(1, k)
-                engine._promote(state, mask, target)
+                rest = engine._promote(state, mask, target)
                 for v in reversed(mask):
                     if twin.colors[v] != target and all(
                             twin.colors[w] != target for w in g.adjacency[v]):
                         twin.recolor(v, target)
                 assert (state.vertices, state.left, state.last, state.colors) == \
                     (twin.vertices, twin.left, twin.last, twin.colors)
+                assert rest == [v for v in mask if twin.colors[v] != target]
             cancels += state.vertices.count(-1)
         assert cancels > 0
 
