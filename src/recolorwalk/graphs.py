@@ -12,6 +12,9 @@ enters a comparison. Text formats:
   silent merge.
 * coloring file: n whitespace-separated integers in ``{1..k}``, vertex
   order ``0..n-1``.
+
+networkx, used for the minimum cut in `mad_exact`, is imported only when
+exact mad runs, not when this module loads.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from .errors import GraphFormatError, ImproperInput, StateSpaceTooLarge
 
@@ -234,6 +235,8 @@ def _densest_cut(g: Graph, guess: Fraction) -> Fraction | None:
     drops below n*m exactly when a denser-than-guess subgraph exists, and
     the cut's source side is such a subgraph.
     """
+    import networkx as nx  # here, not at load: only exact mad pays for it
+
     p, q = guess.numerator, guess.denominator
     net = nx.DiGraph()
     for v in range(g.n):

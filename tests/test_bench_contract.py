@@ -61,3 +61,28 @@ def test_run_reads_resolve_on_a_small_instance():
     for step in seq.steps:
         colors[step.vertex] = step.new_color
     assert tuple(colors) == beta.colors
+
+
+def test_min_cut_counter_sees_exact_mad():
+    # run.py counts graphs.mad_exact.min_cuts by swapping networkx.minimum_cut
+    # for a counting wrapper. graphs must look it up on networkx at call time:
+    # a name bound once (`from networkx import minimum_cut`) would count 0.
+    import networkx
+    calls = 0
+    minimum_cut = networkx.minimum_cut
+
+    def counted_minimum_cut(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return minimum_cut(*args, **kwargs)
+
+    # K4 with a pendant vertex: its densest part, the K4, is not the whole graph.
+    g = recolorwalk.Graph.from_edges(
+        5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    networkx.minimum_cut = counted_minimum_cut
+    try:
+        mad = recolorwalk.mad_exact(g)
+    finally:
+        networkx.minimum_cut = minimum_cut
+    assert calls >= 1
+    assert mad == recolorwalk.mad_brute(g) == 3

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -424,3 +428,48 @@ def test_one_parser_serves_every_call_in_a_process(files, tmp_path, capsys):
     cli._build_parser.cache_clear()
     assert [run(argv) for argv in calls] == alone
     assert cli._build_parser.cache_info().misses == 1
+
+
+# Runs in a fresh interpreter: this test process has long since loaded
+# networkx through other tests.
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+import recolorwalk.cli as cli
+
+graph, frm, to, seq = sys.argv[1:]
+record = {"import": "networkx" in sys.modules, "runs": []}
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    record["runs"].append([argv[0], code, out.getvalue().strip(), "networkx" in sys.modules])
+
+run("partition", graph, "-d", "4", "--epsilon", "1/2")
+run("recolor", graph, frm, to, "-k", "5", "--degenerate-fallback", "--out", seq)
+run("verify", graph, frm, seq, "-k", "5")
+run("oracle", graph, "-k", "5", "--distance", frm, to)
+run("mad", graph, "--mode", "brute")
+run("mad", graph)
+print(json.dumps(record))
+"""
+
+
+def test_networkx_loads_only_where_exact_mad_runs(files, tmp_path):
+    # K4 with a pendant vertex: its densest part, the K4, is not the whole graph.
+    graph = files("k4_pendant.txt", "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n")
+    frm, to = files("from.txt", "1 2 3 4 1\n"), files("to.txt", "2 3 4 5 1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, graph, frm, to, str(tmp_path / "seq.txt")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["import"] is False
+    *cheap, (_, code, exact, loaded) = record["runs"]
+    assert [(name, code, loaded) for name, code, _, loaded in cheap] == [
+        (name, 0, False) for name in ("partition", "recolor", "verify", "oracle", "mad")]
+    assert code == 0 and loaded is True
+    assert exact == cheap[-1][2] == "3/1"
