@@ -39,8 +39,6 @@ from .engine import (
     EliminationTrace,
     RecolorStats,
     RecoloringSequence,
-    RecoloringStep,
-    WorkSets,
     recolor_between,
     recolor_theorem_pipeline,
     reduce_palette,
@@ -66,13 +64,11 @@ __all__ = [
     "PaletteTooSmall",
     "RecolorStats",
     "RecoloringSequence",
-    "RecoloringStep",
     "RecolorwalkError",
     "SequenceViolation",
     "SizeGuaranteeViolated",
     "SpecialISParams",
     "StateSpaceTooLarge",
-    "WorkSets",
     "bfs_distance",
     "build_degree_partition",
     "count_proper_colorings",

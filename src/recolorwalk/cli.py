@@ -241,7 +241,7 @@ def _cmd_verify(args, report: dict) -> int:
     alpha = parse_coloring(_read_input(args.from_path, "from", report), g.n, args.k)
     check_coloring(g, alpha, "from", args.k)
     seq = _parse_steps(_read_input(args.sequence, "sequence", report), alpha)
-    final = verify_sequence(g, alpha, seq, args.k)
+    final = verify_sequence(g, seq)
     answer = "OK final=" + " ".join(str(c) for c in final.colors)
     report["outputs"]["final"] = serialize_coloring(final).strip()
     print(answer)

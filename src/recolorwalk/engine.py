@@ -12,9 +12,10 @@ vertices only; unmasked vertices in those layers always hold colors outside
 the call's palette, so they can never block a recoloring to a palette
 color. The code does not *rely* on that invariant for safety: the two public
 walk producers, `reduce_palette` and `recolor_between` (which
-`recolor_theorem_pipeline` wraps), replay their walk with `verify_sequence`
-and check its promised end state before returning, so a fault surfaces as a
-SequenceViolation, also under `python -O`, rather than as an invalid walk.
+`recolor_theorem_pipeline` wraps), replay their walk from its own start in
+that start's palette with `verify_sequence` and check its promised end state
+before returning, so a fault surfaces as a SequenceViolation, also under
+`python -O`, rather than as an invalid walk.
 
 Masks are lists or slices in embedded order, never tuples built from
 generators (see `_eliminate`), and palettes hold the colors in play, so a
@@ -415,11 +416,12 @@ def _checked_inputs(g: Graph, p: DegreePartition, colorings: dict[str, Coloring]
         check_coloring(g, c, name, k)
 
 
-def _checked_walk(g: Graph, seq: RecoloringSequence, k: int,
+def _checked_walk(g: Graph, seq: RecoloringSequence,
                   ends: Callable[[tuple[int, ...]], bool], goal: str) -> RecoloringSequence:
-    """Exit of every public walk producer: replay the walk in {1..k} and
-    check its last coloring with `ends`; SequenceViolation on either failure."""
-    if not ends(verify_sequence(g, seq.initial, seq, k).colors):
+    """Exit of every public walk producer: replay the walk with
+    `verify_sequence` and check its last coloring with `ends`;
+    SequenceViolation on either failure."""
+    if not ends(verify_sequence(g, seq).colors):
         raise SequenceViolation(len(seq.vertices), f"walk does not end with {goal}")
     return seq
 
@@ -438,7 +440,7 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
             f"target palette {target_size} below the required {p.s + 2}")
     state = _WalkState(g, embedded_ordering(p), c, None)
     _reduce(state, target_size)
-    return _checked_walk(g, state.walk(c), k,
+    return _checked_walk(g, state.walk(c),
                          lambda colors: max(colors) <= target_size,
                          f"at most {target_size} colors")
 
@@ -456,12 +458,15 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     recorded once more by a fresh side, whose merge rule also merges moves
     across the seam. So the emitted walk is not the construction's moves
     verbatim: a vertex's consecutive moves with no neighbor move between them
-    become one step, or none when they return it to its earlier color.
+    become one step, or none when they return it to its earlier color. Equal
+    endpoints give the empty walk.
     """
     _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
     if k < p.s + 2:
         raise PaletteTooSmall(
             f"k = {k} but the partition needs at least {p.s + 2} colors")
+    if alpha.colors == beta.colors:
+        return RecoloringSequence(alpha, (), ())
     ord_ = embedded_ordering(p)
     a_state = _WalkState(g, ord_, alpha, trace)
     b_state = _WalkState(g, ord_, beta, trace)
@@ -475,13 +480,12 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
         if v >= 0:
             joined.recolor(v, c)
     del a_walk  # freed before the joined walk is assembled, where the call peaks
-    return _checked_walk(g, joined.walk(alpha), k,
+    return _checked_walk(g, joined.walk(alpha),
                          lambda colors: colors == beta.colors, "beta")
 
 
 def recolor_theorem_pipeline(
     g: Graph, d: int, epsilon, alpha: Coloring, beta: Coloring, k: int,
-    trace: EliminationTrace | None = None,
 ) -> tuple[RecoloringSequence, RecolorStats, DegreePartition]:
     """End-to-end walk construction for graphs of maximum average degree
     at most d - epsilon: build the (d-1)-depth partition, then walk.
@@ -490,25 +494,21 @@ def recolor_theorem_pipeline(
         raise PaletteTooSmall(f"k = {k} but at least d + 1 = {d + 1} colors are needed")
     params = SpecialISParams(d=d, epsilon=epsilon)
     partition = build_degree_partition(g, params)
-    seq = recolor_between(g, partition, alpha, beta, k, trace)
+    seq = recolor_between(g, partition, alpha, beta, k)
     return seq, sequence_stats(seq), partition
 
 
-def verify_sequence(g: Graph, alpha: Coloring, seq: RecoloringSequence,
-                    k: int) -> Coloring:
-    """Replay the steps of `seq` from alpha, checking every walk rule.
+def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
+    """Replay the steps of `seq` from `seq.initial`, checking every walk rule
+    in the palette 1..`seq.initial.k`.
 
-    The replay starts at the caller's `alpha`, not at `seq.initial`, so a
-    walk can be checked against the start it was asked for. Raises
-    SequenceViolation naming the first offending step (index -1 for a bad
-    initial coloring); returns the final coloring on success.
+    Raises SequenceViolation naming the first offending step (index -1 for
+    an improper initial coloring); returns the final coloring on success.
     """
-    if len(alpha.colors) != g.n:
-        raise ValueError(f"coloring has {len(alpha.colors)} entries for {g.n} vertices")
-    colors = list(alpha.colors)
-    for v in range(g.n):
-        if not 1 <= colors[v] <= k:
-            raise SequenceViolation(-1, f"initial color of vertex {v} outside 1..{k}")
+    colors = list(seq.initial.colors)
+    k = seq.initial.k
+    if len(colors) != g.n:
+        raise ValueError(f"coloring has {len(colors)} entries for {g.n} vertices")
     for u, v in g.edges():
         if colors[u] == colors[v]:
             raise SequenceViolation(-1, f"initial coloring improper on edge ({u}, {v})")

@@ -96,8 +96,8 @@ def test_criterion_1_walk_validity(walk_runs):
     assert len(runs) >= 500
     violations = 0
     for run in runs:
-        k = run.d + 1
-        final = verify_sequence(run.graph, run.alpha, run.seq, k)
+        assert run.seq.initial == run.alpha
+        final = verify_sequence(run.graph, run.seq)
         if final.colors != run.beta.colors:
             violations += 1
     assert violations == 0
@@ -158,7 +158,7 @@ def test_criterion_4_elimination_locality():
         boundary = rng.randint(1, partition.t)
         target = rng.randint(1, k)
         seq = eliminate(g, partition, boundary, c, target, range(1, k + 1))
-        final = verify_sequence(g, c, seq, k)
+        final = verify_sequence(g, seq)
         stats = sequence_stats(seq)
         inside = {v for layer in partition.layers[:boundary] for v in layer}
         for v in range(g.n):
@@ -179,7 +179,8 @@ def test_criterion_5_inner_call_contract():
         alpha = families.random_proper_coloring(rng, g, 4)
         beta = families.random_proper_coloring(rng, g, 4)
         trace = EliminationTrace()
-        recolor_theorem_pipeline(g, 3, HALF, alpha, beta, 4, trace=trace)
+        partition = build_degree_partition(g, SpecialISParams(3, HALF))
+        recolor_between(g, partition, alpha, beta, 4, trace=trace)
         for claim in trace.claims:
             assert max(claim.w_a_recolor_counts, default=0) <= 1
             assert claim.inner_mask_later_degree < max(claim.depth, 1)

@@ -73,7 +73,7 @@ class TestGreedyPromote:
         seq, taken = promote(p3, ord_, Coloring((1, 2, 1), 3), 3, range(3))
         assert steps_as_pairs(seq) == [(1, 3)]
         assert taken == (1,)
-        verify_sequence(p3, seq.initial, seq, 3)
+        verify_sequence(p3, seq)
 
     def test_edgeless_promotes_everyone(self):
         g = families.empty_graph(4)
@@ -103,7 +103,7 @@ class TestGreedyPromote:
             seq1, taken1 = promote(g, ord_, Coloring(c1.colors, 3), 3, mask)
             _, taken2 = promote(g, ord_, Coloring(c2.colors, 3), 3, mask)
             assert taken1 == taken2
-            verify_sequence(g, seq1.initial, seq1, 3)
+            verify_sequence(g, seq1)
 
 
 class TestEliminateColor:
@@ -112,7 +112,7 @@ class TestEliminateColor:
         c = Coloring((3, 1, 3), 3)
         seq = eliminate(p3, P3_PARTITION, 2, c, 3, {1, 2, 3})
         assert steps_as_pairs(seq) == [(0, 2), (2, 2)]
-        assert verify_sequence(p3, c, seq, 3).colors == (2, 1, 2)
+        assert verify_sequence(p3, seq).colors == (2, 1, 2)
 
     def test_no_target_means_no_steps(self):
         p3 = families.path_graph(3)
@@ -141,7 +141,7 @@ class TestEliminateColor:
             boundary = rng.randint(1, p.t)
             target = rng.randint(1, k)
             seq = eliminate(g, p, boundary, c, target, range(1, k + 1))
-            final = verify_sequence(g, c, seq, k)
+            final = verify_sequence(g, seq)
             inside = {v for layer in p.layers[:boundary] for v in layer}
             assert all(step.vertex in inside for step in seq.steps)
             assert all(final.colors[v] != target for v in inside)
@@ -164,7 +164,7 @@ class TestEliminateColor:
             boundary = rng.randint(1, p.t)
             target = rng.randint(1, p.s + 2)
             seq = eliminate(g, p, boundary, c, target, palette, mask=mask)
-            final = verify_sequence(g, c, seq, k)
+            final = verify_sequence(g, seq)
             inside = {v for layer in p.layers[:boundary] for v in layer} & set(mask)
             assert all(step.vertex in inside for step in seq.steps)
             assert all(final.colors[v] != target for v in inside)
@@ -187,7 +187,7 @@ class TestClearLayerColor:
         c = Coloring((1, 3, 2, 2), 3)
         trace = EliminationTrace()
         seq = eliminate(g, p, 2, c, 3, {1, 2, 3}, trace=trace)
-        final = verify_sequence(g, c, seq, 3)
+        final = verify_sequence(g, seq)
         assert 3 not in final.colors
         assert trace.claims, "expected at least one inner clearing call"
         for claim in trace.claims:
@@ -213,7 +213,8 @@ class TestReducePalette:
         p = DegreePartition(0, ((0, 1, 2, 3),))
         c = Coloring((5, 4, 3, 1), 5)
         seq = reduce_palette(g, p, c, 5, 2)
-        final = verify_sequence(g, c, seq, 5)
+        assert seq.initial == c
+        final = verify_sequence(g, seq)
         assert all(col <= 2 for col in final.colors)
 
     def test_target_below_minimum(self):
@@ -430,7 +431,7 @@ class TestCompaction:
         return steps_as_pairs(state.walk(self.START))
 
     def end(self, state):
-        return verify_sequence(self.P3, self.START, state.walk(self.START), 4).colors
+        return verify_sequence(self.P3, state.walk(self.START)).colors
 
     def test_second_move_merges(self):
         state = self.side()
@@ -557,10 +558,10 @@ class TestCompaction:
             # A vertex's second live record began after a neighbor moved.
             blocked += len(live) - len({v for v, _ in live})
             end = tuple(state.colors)
-            assert verify_sequence(g, start, state.walk(start), k).colors == end
+            assert verify_sequence(g, state.walk(start)).colors == end
             back = RecoloringSequence(Coloring(end, k), tuple(v for v, _ in reversed(live)),
                                       tuple(c for _, c in reversed(live)))
-            assert verify_sequence(g, back.initial, back, k).colors == start.colors
+            assert verify_sequence(g, back).colors == start.colors
         assert cancels > 0 and merges > 0 and blocked > 0
 
     def test_seam_merges(self):
@@ -594,7 +595,8 @@ class TestRecolorBetween:
         p3 = families.path_graph(3)
         alpha, beta = Coloring((1, 2, 1), 3), Coloring((2, 1, 2), 3)
         seq = recolor_between(p3, P3_PARTITION, alpha, beta, 3)
-        assert verify_sequence(p3, alpha, seq, 3).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(p3, seq).colors == beta.colors
         assert len(seq.steps) == 4
         assert bfs_distance(p3, 3, alpha, beta) == 4
 
@@ -603,14 +605,19 @@ class TestRecolorBetween:
         p = build_degree_partition(k2, SpecialISParams(2, HALF))
         alpha, beta = Coloring((1, 2), 3), Coloring((2, 1), 3)
         seq = recolor_between(k2, p, alpha, beta, 3)
-        assert verify_sequence(k2, alpha, seq, 3).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(k2, seq).colors == beta.colors
         assert len(seq.steps) >= bfs_distance(k2, 3, alpha, beta) == 3
 
     def test_equal_endpoints(self):
+        # The construction alone walks (3, 1, 2) to itself in two steps,
+        # vertex 0 to 2 and back to 3.
         p3 = families.path_graph(3)
-        alpha = Coloring((1, 2, 1), 3)
-        seq = recolor_between(p3, P3_PARTITION, alpha, alpha, 3)
-        assert verify_sequence(p3, alpha, seq, 3).colors == alpha.colors
+        for colors in ((1, 2, 1), (3, 1, 2)):
+            alpha = Coloring(colors, 3)
+            seq = recolor_between(p3, P3_PARTITION, alpha, alpha, 3)
+            assert seq.initial == alpha
+            assert seq.vertices == ()
 
     def test_wide_palette_is_reduced_first(self):
         g = families.star_graph(4)
@@ -618,7 +625,8 @@ class TestRecolorBetween:
         alpha = Coloring((1, 5, 4, 3, 2), 5)
         beta = Coloring((5, 1, 1, 1, 1), 5)
         seq = recolor_between(g, p, alpha, beta, 5)
-        assert verify_sequence(g, alpha, seq, 5).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(g, seq).colors == beta.colors
 
     def test_improper_input(self):
         p3 = families.path_graph(3)
@@ -650,7 +658,8 @@ class TestRecolorBetween:
             seq = recolor_between(g, p, alpha, beta, 3)
             again = recolor_between(g, p, alpha, beta, 3)
             assert seq == again
-            assert verify_sequence(g, alpha, seq, 3).colors == beta.colors
+            assert seq.initial == alpha
+            assert verify_sequence(g, seq).colors == beta.colors
             distance = bfs_distance(g, 3, alpha, beta)
             assert distance is not None
             assert len(seq.steps) >= distance
@@ -673,7 +682,8 @@ class TestRecolorBetween:
         assert p.s == 0
         alpha, beta = Coloring((1, 2, 1), 2), Coloring((2, 1, 2), 2)
         seq = recolor_between(g, p, alpha, beta, 2)
-        assert verify_sequence(g, alpha, seq, 2).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(g, seq).colors == beta.colors
         assert len(seq.steps) == 3
 
     def test_petersen_through_degeneracy_partition(self):
@@ -684,7 +694,8 @@ class TestRecolorBetween:
         alpha = families.random_proper_coloring(rng, g, 5)
         beta = families.random_proper_coloring(rng, g, 5)
         seq = recolor_between(g, p, alpha, beta, 5)
-        assert verify_sequence(g, alpha, seq, 5).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(g, seq).colors == beta.colors
         assert sequence_stats(seq).max_per_vertex <= walk_bound(p.s, p.t)
 
     def test_density_exactly_at_the_budget_edge(self):
@@ -692,7 +703,8 @@ class TestRecolorBetween:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         alpha, beta = Coloring((1, 2, 3, 4), 4), Coloring((4, 3, 2, 1), 4)
         seq, _, partition = recolor_theorem_pipeline(g, 3, HALF, alpha, beta, 4)
-        assert verify_sequence(g, alpha, seq, 4).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(g, seq).colors == beta.colors
 
     def test_deep_recursion_actually_promotes(self):
         # depth-2 runs must exercise the promote-and-purge machinery, not
@@ -704,9 +716,10 @@ class TestRecolorBetween:
             alpha = families.random_proper_coloring(rng, g, 4)
             beta = families.random_proper_coloring(rng, g, 4)
             trace = EliminationTrace()
-            seq, _, _ = recolor_theorem_pipeline(g, 3, HALF, alpha, beta, 4,
-                                                 trace=trace)
-            verify_sequence(g, alpha, seq, 4)
+            p = build_degree_partition(g, SpecialISParams(3, HALF))
+            seq = recolor_between(g, p, alpha, beta, 4, trace=trace)
+            assert seq.initial == alpha
+            verify_sequence(g, seq)
             general += sum(1 for claim in trace.claims
                            if claim.promoted_to_target or claim.promoted_to_color)
         assert general > 0
@@ -722,7 +735,8 @@ class TestPipeline:
                 beta = families.random_proper_coloring(rng, g, 3)
                 seq, stats, partition = recolor_theorem_pipeline(
                     g, 2, HALF, alpha, beta, 3)
-                assert verify_sequence(g, alpha, seq, 3).colors == beta.colors
+                assert seq.initial == alpha
+                assert verify_sequence(g, seq).colors == beta.colors
                 assert stats.total == len(seq.steps)
 
     def test_trees_with_relaxed_budget(self):
@@ -732,14 +746,18 @@ class TestPipeline:
             alpha = families.random_proper_coloring(rng, g, 4)
             beta = families.random_proper_coloring(rng, g, 4)
             seq, stats, partition = recolor_theorem_pipeline(g, 3, HALF, alpha, beta, 4)
-            assert verify_sequence(g, alpha, seq, 4).colors == beta.colors
+            assert seq.initial == alpha
+            assert verify_sequence(g, seq).colors == beta.colors
             assert stats.max_per_vertex <= walk_bound(partition.s, partition.t)
 
     def test_equal_endpoints(self):
+        # The construction alone walks (2, 3, 1, 3) to itself in six steps.
         p4 = families.path_graph(4)
-        c = Coloring((1, 2, 1, 2), 3)
-        seq, _, _ = recolor_theorem_pipeline(p4, 2, HALF, c, c, 3)
-        assert verify_sequence(p4, c, seq, 3).colors == c.colors
+        for colors in ((1, 2, 1, 2), (2, 3, 1, 3)):
+            c = Coloring(colors, 3)
+            seq, _, _ = recolor_theorem_pipeline(p4, 2, HALF, c, c, 3)
+            assert seq.initial == c
+            assert seq.vertices == ()
 
     def test_wide_palette(self):
         rng = random.Random(606)
@@ -748,7 +766,8 @@ class TestPipeline:
             alpha = families.random_proper_coloring(rng, g, 5)
             beta = families.random_proper_coloring(rng, g, 5)
             seq, _, _ = recolor_theorem_pipeline(g, 2, HALF, alpha, beta, 5)
-            assert verify_sequence(g, alpha, seq, 5).colors == beta.colors
+            assert seq.initial == alpha
+            assert verify_sequence(g, seq).colors == beta.colors
 
     def test_more_palette_levels_than_the_recursion_limit(self):
         # s + 2 = 2001 colors on a 3-vertex path: the level loop stops once
@@ -757,7 +776,8 @@ class TestPipeline:
         alpha, beta = Coloring((1, 2, 1), 2001), Coloring((2, 1, 2), 2001)
         seq, _, partition = recolor_theorem_pipeline(p3, 2000, HALF, alpha, beta, 2001)
         assert partition.s + 2 > sys.getrecursionlimit()
-        assert verify_sequence(p3, alpha, seq, 2001).colors == beta.colors
+        assert seq.initial == alpha
+        assert verify_sequence(p3, seq).colors == beta.colors
 
     def test_dense_graph_rejected(self):
         k4 = families.complete_graph(4)
@@ -777,50 +797,40 @@ class TestVerifySequence:
         p3 = families.path_graph(3)
         alpha = Coloring((1, 2, 1), 3)
         seq = RecoloringSequence(alpha, (), ())
-        assert verify_sequence(p3, alpha, seq, 3).colors == alpha.colors
+        assert verify_sequence(p3, seq).colors == alpha.colors
 
     def test_conflicting_step_is_reported(self):
         p3 = families.path_graph(3)
         alpha = Coloring((1, 2, 1), 3)
         with pytest.raises(SequenceViolation) as info:
-            verify_sequence(p3, alpha, RecoloringSequence(alpha, (0,), (2,)), 3)
+            verify_sequence(p3, RecoloringSequence(alpha, (0,), (2,)))
         assert info.value.step_index == 0
 
     def test_no_op_step_is_reported(self):
         p3 = families.path_graph(3)
         alpha = Coloring((1, 2, 1), 3)
         with pytest.raises(SequenceViolation, match="already has color"):
-            verify_sequence(p3, alpha, RecoloringSequence(alpha, (0,), (1,)), 3)
+            verify_sequence(p3, RecoloringSequence(alpha, (0,), (1,)))
 
     def test_color_out_of_range(self):
         p3 = families.path_graph(3)
         alpha = Coloring((1, 2, 1), 3)
         with pytest.raises(SequenceViolation, match="outside"):
-            verify_sequence(p3, alpha, RecoloringSequence(alpha, (0,), (4,)), 3)
+            verify_sequence(p3, RecoloringSequence(alpha, (0,), (4,)))
 
     def test_improper_start(self):
         p3 = families.path_graph(3)
         alpha = Coloring((1, 1, 2), 3)
         with pytest.raises(SequenceViolation) as info:
-            verify_sequence(p3, alpha, RecoloringSequence(alpha, (), ()), 3)
+            verify_sequence(p3, RecoloringSequence(alpha, (), ()))
         assert info.value.step_index == -1
 
     def test_start_of_the_wrong_length(self):
         alpha = Coloring((1, 2), 3)
         with pytest.raises(ValueError) as info:
-            verify_sequence(families.path_graph(3), alpha,
-                            RecoloringSequence(alpha, (), ()), 3)
+            verify_sequence(families.path_graph(3), RecoloringSequence(alpha, (), ()))
         assert type(info.value) is ValueError
         assert str(info.value) == "coloring has 2 entries for 3 vertices"
-
-    def test_start_color_outside_the_palette(self):
-        # The coloring's own palette is 4; the replay's is 3.
-        alpha = Coloring((1, 2, 4), 4)
-        with pytest.raises(SequenceViolation) as info:
-            verify_sequence(families.path_graph(3), alpha,
-                            RecoloringSequence(alpha, (), ()), 3)
-        assert info.value.step_index == -1
-        assert str(info.value) == "step -1: initial color of vertex 2 outside 1..3"
 
     @pytest.mark.parametrize("fault,reason", [
         ((7, 2), "vertex 7 out of range"),
@@ -837,7 +847,7 @@ class TestVerifySequence:
         alpha = Coloring((1, 2, 3, 2), 3)
         vertices, new_colors = (2, fault[0]), (2, fault[1])
         with pytest.raises(SequenceViolation) as info:
-            verify_sequence(star, alpha, RecoloringSequence(alpha, vertices, new_colors), 3)
+            verify_sequence(star, RecoloringSequence(alpha, vertices, new_colors))
         assert (info.value.step_index, info.value.reason) == (1, reason)
         paths = {"g.txt": serialize_graph(star), "from.txt": serialize_coloring(alpha),
                  "seq.txt": "".join(f"{v} {c}\n" for v, c in zip(vertices, new_colors))}
@@ -980,9 +990,9 @@ def test_trace_observes_and_never_steers():
 PUBLIC_SURFACE = [
     "Coloring", "DEFAULT_STATE_CAP", "DegreePartition", "EliminationTrace",
     "Graph", "GraphFormatError", "ImproperInput",
-    "PaletteTooSmall", "RecolorStats", "RecoloringSequence", "RecoloringStep",
+    "PaletteTooSmall", "RecolorStats", "RecoloringSequence",
     "RecolorwalkError", "SequenceViolation", "SizeGuaranteeViolated",
-    "SpecialISParams", "StateSpaceTooLarge", "WorkSets", "bfs_distance",
+    "SpecialISParams", "StateSpaceTooLarge", "bfs_distance",
     "build_degree_partition", "count_proper_colorings",
     "degeneracy_ordering", "degree_partition_from_degeneracy",
     "exact_diameter", "mad_brute", "mad_exact", "parse_coloring", "parse_graph",
@@ -996,20 +1006,31 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     # Growing or shrinking the exported names must show up in this list.
     assert sorted(recolorwalk.__all__) == PUBLIC_SURFACE
-    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 37
+    assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 35
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_entry_points_are_exported():
     # Every name the README's "Key entry points" paragraph offers is one the
     # package exports, so the docs and `__all__` cannot drift apart.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    paragraph = next(block for block in readme.split("\n\n")
+    paragraph = next(block for block in README.read_text().split("\n\n")
                      if block.startswith("Key entry points:"))
     names = re.findall(r"`(\w+)`", paragraph)
     assert "recolor_between" in names
     assert sorted(set(names) - set(recolorwalk.__all__)) == []
+
+
+def test_readme_library_example_runs():
+    # The python block under "## Library" runs as written, so a changed
+    # signature cannot leave the example stale.
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    assert "verify_sequence" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 _O_PROBE = """
