@@ -104,23 +104,28 @@ class WorkSets:
 
     `depth` is the layer-depth budget of the enclosing elimination. The two
     promoted sets are the earlier-layer vertices that each promotion sweep
-    left on the target and on the replacement color; `w_a_recolor_counts`
-    the moves per cleared vertex, in ascending id, whether or not the walk
-    merged them into earlier records; `inner_mask_later_degree`
-    the largest within-mask later-layer degree of the unpromoted rest (-1
-    when empty), which the recursion requires to be strictly below `depth`.
+    left on the target and on the replacement color, in ascending id (empty
+    when the cleared vertices were recolored directly);
+    `inner_mask_later_degree` the largest within-mask later-layer degree of
+    the unpromoted rest (-1 when empty), which the recursion requires to be
+    strictly below `depth`.
     """
 
     depth: int
     promoted_to_target: tuple[int, ...]
     promoted_to_color: tuple[int, ...]
-    w_a_recolor_counts: tuple[int, ...]
     inner_mask_later_degree: int
 
 
 @dataclass
 class EliminationTrace:
-    """Collects one WorkSets record per inner layer-clearing call."""
+    """What the walk recursion of one `recolor_between(..., trace=)` call
+    did: `claims` holds one `WorkSets` per inner layer-clearing call, in the
+    order the calls finish, with its four fields `depth`,
+    `promoted_to_target`, `promoted_to_color` and `inner_mask_later_degree`.
+    A claim is written once its call has made its moves; no move reads the
+    trace.
+    """
 
     claims: list[WorkSets] = field(default_factory=list)
 
@@ -143,13 +148,11 @@ class _WalkState:
     other move merges and only changes `colors`. Merges and cancels need no
     neighbor pass: while `last[v] >= 0` every neighbor's `last` is -1, cleared
     when v's record began and not set since, as setting it would have cleared
-    `last[v]`. When traced, `moves` counts each vertex's moves in promotion
-    sweeps and layer recolorings, merged or not, for `_clear_layer`'s
-    WorkSets; it is None otherwise.
+    `last[v]`.
     """
 
     __slots__ = ("adjacency", "layer_of", "order", "trace", "colors",
-                 "vertices", "left", "last", "moves")
+                 "vertices", "left", "last")
 
     def __init__(self, g: Graph, ord_: EmbeddedOrdering, start: Coloring,
                  trace: EliminationTrace | None):
@@ -161,7 +164,6 @@ class _WalkState:
         self.vertices: list[int] = []
         self.left: list[int] = []
         self.last = [-1] * g.n
-        self.moves = None if trace is None else Counter()
 
     def recolor(self, v: int, color: int) -> None:
         r = self.last[v]
@@ -202,7 +204,7 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     rest = []
     colors = state.colors
     adjacency = state.adjacency
-    vertices, left, last, moves = state.vertices, state.left, state.last, state.moves
+    vertices, left, last = state.vertices, state.left, state.last
     for v in reversed(mask):
         old = colors[v]
         if old == target:
@@ -223,8 +225,6 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
                 vertices[r] = -1
                 last[v] = -1
             colors[v] = target
-            if moves is not None:
-                moves[v] += 1
     rest.reverse()
     return rest
 
@@ -340,38 +340,28 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
     u ends target-free again. When u | w_a has no internal forward edges the
     direct recoloring alone is already proper. `w_a` is sorted.
     """
-    moves = state.moves
-    if moves is not None:
-        entry = [moves[v] for v in w_a]
     # No later-layer edge inside u | w_a: the direct recoloring is safe. Each
     # such edge has an end in u, w_a being part of one layer.
     if depth == 0 or not _has_edge(state, u, set(u).union(w_a)):
-        _recolor_layer(state, w_a, a)
+        for v in w_a:
+            state.recolor(v, a)
         swept = inner = rest = ()
     else:
         swept = u
         inner = _promote(state, u, target)
         _eliminate(state, a, palette - {target}, inner)
-        _recolor_layer(state, w_a, a)
+        for v in w_a:
+            state.recolor(v, a)
         rest = _promote(state, u, a)
         _eliminate(state, target, palette - {a}, rest)
-    if moves is not None:
+    if state.trace is not None:
         # A sweep promoted the vertices of its mask it did not return.
         state.trace.claims.append(WorkSets(
             depth=depth,
             promoted_to_target=tuple(sorted(set(swept).difference(inner))),
             promoted_to_color=tuple(sorted(set(swept).difference(rest))),
-            w_a_recolor_counts=tuple([moves[v] - m for v, m in zip(w_a, entry)]),
             inner_mask_later_degree=_later_degree(state, inner, set(inner)),
         ))
-
-
-def _recolor_layer(state: _WalkState, w_a: list[int], a: int) -> None:
-    # `_clear_layer`'s direct recoloring of w_a to `a`, counted when traced.
-    for v in w_a:
-        state.recolor(v, a)
-    if state.moves is not None:
-        state.moves.update(w_a)
 
 
 def _between(a_state: _WalkState, b_state: _WalkState, mask: Sequence[int],

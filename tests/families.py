@@ -1,12 +1,14 @@
 """Deterministic graph and coloring builders shared by the test suite, the
 graph writer, special-independent-set enumeration, the one-sided distance
 search and the engine's first-written layer-depth and later-edge predicates
-the tests check against, and the `eliminate` helper that reaches the
-engine's private color elimination."""
+the tests check against, the `eliminate` helper that reaches the engine's
+private color elimination, and two probes of the walk recursion: a per-call
+move counter for the layer-clearing calls and a sweep that corrupts a walk."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import recolorwalk.engine as engine
 from recolorwalk import (
@@ -216,3 +218,69 @@ def later_edge_reference(state, vertices) -> bool:
     `engine._has_edge` stops at the first edge."""
     members = set(vertices)
     return engine._later_degree(state, members, members) > 0
+
+
+class _CountedColors(list):
+    """A walk side's coloring that counts the writes to each vertex."""
+
+    def __init__(self, colors):
+        super().__init__(colors)
+        self.writes = Counter()
+
+    def __setitem__(self, v, color):
+        self.writes[v] += 1
+        super().__setitem__(v, color)
+
+
+def count_clearing_moves(setattr_) -> list[tuple[int, ...]]:
+    """Count each inner layer-clearing call's moves of the vertices it clears.
+
+    Installs, through `setattr_` (`monkeypatch.setattr`), a `_WalkState`
+    whose coloring counts its writes and a wrapped `engine._clear_layer`.
+    Returns a list that gets, per clearing call in the order the calls
+    finish (the order of `EliminationTrace.claims`), the moves of each w_a
+    vertex during the call, in w_a's order. Every move of the engine, in
+    `_promote`'s sweep and in `_WalkState.recolor`, writes `colors[v]`, so
+    the count includes moves merged into earlier records or cancelled.
+    """
+    calls = []
+    init, clear_layer = engine._WalkState.__init__, engine._clear_layer
+
+    def counted_init(self, g, ord_, start, trace):
+        init(self, g, ord_, start, trace)
+        self.colors = _CountedColors(self.colors)
+
+    def counted_clear_layer(state, target, a, u, w_a, depth, palette):
+        writes = state.colors.writes
+        entry = [writes[v] for v in w_a]
+        clear_layer(state, target, a, u, w_a, depth, palette)
+        calls.append(tuple(writes[v] - m for v, m in zip(w_a, entry)))
+    setattr_(engine._WalkState, "__init__", counted_init)
+    setattr_(engine, "_clear_layer", counted_clear_layer)
+    return calls
+
+
+def corrupt_first_sweep(setattr_) -> list[int]:
+    """Make the engine's first promotion sweep also record a step that copies
+    a neighbor's color: an improper walk the exit replay must catch.
+
+    Installs the wrapped `engine._promote` through `setattr_`
+    (`monkeypatch.setattr`, or the builtin `setattr` where no fixture runs)
+    and returns a list that gets the corrupted vertex. The neighbor then
+    moves, so no later move of the vertex can merge the bad step away: a step
+    only merges while no neighbor has moved since.
+    """
+    promote = engine._promote
+    done = []
+
+    def corrupt(state, mask, target):
+        taken = promote(state, mask, target)
+        if not done:
+            v = min(v for v in mask if state.adjacency[v])
+            w, old = state.adjacency[v][0], state.colors[v]
+            state.recolor(v, state.colors[w])
+            state.recolor(w, old)
+            done.append(v)
+        return taken
+    setattr_(engine, "_promote", corrupt)
+    return done

@@ -171,8 +171,9 @@ def test_criterion_4_elimination_locality():
     print(f"\nACCEPTANCE 4 elimination locality: PASS ({calls} calls)")
 
 
-def test_criterion_5_inner_call_contract():
+def test_criterion_5_inner_call_contract(monkeypatch):
     rng = random.Random(0xACE)
+    moves = families.count_clearing_moves(monkeypatch.setattr)
     claims = 0
     for _ in range(60):
         g = families.random_tree(rng, rng.randint(2, 15))
@@ -180,9 +181,11 @@ def test_criterion_5_inner_call_contract():
         beta = families.random_proper_coloring(rng, g, 4)
         trace = EliminationTrace()
         partition = build_degree_partition(g, SpecialISParams(3, HALF))
+        moves.clear()
         recolor_between(g, partition, alpha, beta, 4, trace=trace)
-        for claim in trace.claims:
-            assert max(claim.w_a_recolor_counts, default=0) <= 1
+        assert len(moves) == len(trace.claims)
+        for counts, claim in zip(moves, trace.claims):
+            assert max(counts, default=0) <= 1
             assert claim.inner_mask_later_degree < max(claim.depth, 1)
             claims += 1
     assert claims > 0

@@ -179,19 +179,21 @@ class TestClearLayerColor:
         seq = eliminate(g, p, 1, c, 3, {1, 2, 3})
         assert steps_as_pairs(seq) == [(0, 1)]
 
-    def test_general_path_clears_and_restores(self):
+    def test_general_path_clears_and_restores(self, monkeypatch):
         # star with target on a leaf layer vertex and a blocking center
         g = families.star_graph(3)
         p = build_degree_partition(g, SpecialISParams(2, HALF))  # ((1,2,3),(0,))
         ord_ = embedded_ordering(p)
         c = Coloring((1, 3, 2, 2), 3)
         trace = EliminationTrace()
+        moves = families.count_clearing_moves(monkeypatch.setattr)
         seq = eliminate(g, p, 2, c, 3, {1, 2, 3}, trace=trace)
         final = verify_sequence(g, seq)
         assert 3 not in final.colors
         assert trace.claims, "expected at least one inner clearing call"
-        for claim in trace.claims:
-            assert max(claim.w_a_recolor_counts, default=0) <= 1
+        assert len(moves) == len(trace.claims)
+        for counts, claim in zip(moves, trace.claims):
+            assert max(counts, default=0) <= 1
             assert claim.inner_mask_later_degree < max(claim.depth, 1)
 
 
@@ -327,7 +329,7 @@ def walk_corpus_digest():
         seq = recolor_between(g, p, alpha, beta, k, trace=trace)
         digest.update(repr(steps_as_pairs(seq)).encode())
         digest.update(repr([(w.depth, w.promoted_to_target, w.promoted_to_color,
-                             w.w_a_recolor_counts, w.inner_mask_later_degree)
+                             w.inner_mask_later_degree)
                             for w in trace.claims]).encode())
     return digest.hexdigest()
 
@@ -351,7 +353,7 @@ def reduce_corpus_digest():
 
 # A change that alters emitted walks on purpose updates these constants and
 # quotes the old and the new digests in CHANGES.md.
-PINNED_WALK_DIGEST = "268037262967cf72e5b9edfe8ec0d91a53fa7f636d057ea70d21eb16b62adf8b"
+PINNED_WALK_DIGEST = "9f8b5303eb5e7bff794f13ed72f546dd46ed63e5167af87db1f3be4f5734a14e"
 PINNED_REDUCE_DIGEST = "64d8acb85358eeeafa5c54f3c207ce8cca1a2b5fb19b7d369c7e67e0ba5ef8ac"
 
 
@@ -987,6 +989,31 @@ def test_trace_observes_and_never_steers():
     assert claims
 
 
+def test_clear_calls_count_every_clearing_call(monkeypatch):
+    # The benchmark's `engine.clear_calls` is `len(trace.claims)`: one claim
+    # per `_clear_layer` call, on the theorem route (trees, k = s+2) and on
+    # the degeneracy route with k = s+3, where the reduction clears too.
+    rng = random.Random(4343)
+    calls = families.count_clearing_moves(monkeypatch.setattr)
+    total = 0
+    for i in range(40):
+        if i % 2:
+            g = families.random_tree(rng, rng.randint(2, 40))
+            p, k = build_degree_partition(g, SpecialISParams(3, HALF)), 4
+        else:
+            g = families.random_graph(rng, rng.randint(2, 12), rng.random() * 0.5)
+            p = degree_partition_from_degeneracy(g)
+            k = p.s + 3
+        alpha = families.random_proper_coloring(rng, g, k)
+        beta = families.random_proper_coloring(rng, g, k)
+        trace = EliminationTrace()
+        calls.clear()
+        recolor_between(g, p, alpha, beta, k, trace=trace)
+        assert len(trace.claims) == len(calls)
+        total += len(calls)
+    assert total
+
+
 PUBLIC_SURFACE = [
     "Coloring", "DEFAULT_STATE_CAP", "DegreePartition", "EliminationTrace",
     "Graph", "GraphFormatError", "ImproperInput",
@@ -1035,24 +1062,11 @@ def test_readme_library_example_runs():
 
 _O_PROBE = """
 import sys
-import recolorwalk.engine as engine
+import families
 from recolorwalk import *
 if __debug__:
     sys.exit("asserts are still on")
-promote = engine._promote
-done = []
-
-def corrupt(state, mask, target):
-    taken = promote(state, mask, target)
-    if not done:
-        v = min(v for v in mask if state.adjacency[v])
-        w, old = state.adjacency[v][0], state.colors[v]
-        state.recolor(v, state.colors[w])
-        state.recolor(w, old)
-        done.append(v)
-    return taken
-
-engine._promote = corrupt
+families.corrupt_first_sweep(setattr)
 g = Graph.from_edges(3, [(0, 1), (1, 2)])
 p = DegreePartition(1, ((0, 2), (1,)))
 try:
@@ -1066,38 +1080,18 @@ else:
 
 def test_walk_check_survives_python_O():
     # The first promotion sweep also records a step that copies a neighbor's
-    # color, then moves that neighbor, as `_corrupting_promote` does: the
+    # color, then moves that neighbor (`families.corrupt_first_sweep`): the
     # exit replay must reject the walk with asserts stripped too.
     src = str(Path(recolorwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(families.__file__).resolve().parent)])
     result = subprocess.run([sys.executable, "-O", "-c", _O_PROBE], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "raised SequenceViolation\n"
 
 
-def _corrupting_promote(monkeypatch):
-    # The first promotion sweep also records a step that copies a
-    # neighbor's color: an improper walk the exit replay must catch. The
-    # neighbor then moves, so no later move of the vertex can merge the bad
-    # step away: a step only merges while no neighbor has moved since.
-    promote = engine._promote
-    done = []
-
-    def corrupt(state, mask, target):
-        taken = promote(state, mask, target)
-        if not done:
-            v = min(v for v in mask if state.adjacency[v])
-            w, old = state.adjacency[v][0], state.colors[v]
-            state.recolor(v, state.colors[w])
-            state.recolor(w, old)
-            done.append(v)
-        return taken
-    monkeypatch.setattr(engine, "_promote", corrupt)
-    return done
-
-
 def test_corrupted_walk_raises(monkeypatch):
-    done = _corrupting_promote(monkeypatch)
+    done = families.corrupt_first_sweep(monkeypatch.setattr)
     with pytest.raises(SequenceViolation, match="already has color"):
         recolor_between(_P3, P3_PARTITION, Coloring((1, 2, 1), 3), _OTHER, 3)
     assert done
@@ -1111,7 +1105,7 @@ def test_unfinished_walk_raises(monkeypatch):
 
 
 def test_corrupted_walk_exits_7_with_report(monkeypatch, tmp_path, capsys):
-    done = _corrupting_promote(monkeypatch)
+    done = families.corrupt_first_sweep(monkeypatch.setattr)
     for name, text in (("g.txt", "3 2\n0 1\n1 2\n"), ("from.txt", "1 2 1\n"),
                        ("to.txt", "2 1 2\n")):
         (tmp_path / name).write_text(text)
