@@ -241,10 +241,9 @@ def _cmd_verify(args, report: dict) -> int:
     alpha = parse_coloring(_read_input(args.from_path, "from", report), g.n, args.k)
     check_coloring(g, alpha, "from", args.k)
     seq = _parse_steps(_read_input(args.sequence, "sequence", report), alpha)
-    final = verify_sequence(g, seq)
-    answer = "OK final=" + " ".join(str(c) for c in final.colors)
-    report["outputs"]["final"] = serialize_coloring(final).strip()
-    print(answer)
+    final = serialize_coloring(verify_sequence(g, seq)).strip()
+    report["outputs"]["final"] = final
+    print("OK final=" + final)
     return 0
 
 

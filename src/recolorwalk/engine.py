@@ -106,9 +106,10 @@ class WorkSets:
     promoted sets are the earlier-layer vertices that each promotion sweep
     left on the target and on the replacement color, in ascending id (empty
     when the cleared vertices were recolored directly);
-    `inner_mask_later_degree` the largest within-mask later-layer degree of
-    the unpromoted rest (-1 when empty), which the recursion requires to be
-    strictly below `depth`.
+    `inner_mask_later_degree` is `_depth`'s count over the unpromoted rest
+    with an empty palette, the most later-layer neighbors a rest vertex has
+    inside the rest (-1 for an empty rest), which the recursion requires to
+    be strictly below `depth`.
     """
 
     depth: int
@@ -229,25 +230,6 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     return rest
 
 
-def _later_degree(state: _WalkState, vertices: Iterable[int],
-                  among: frozenset[int] | set[int]) -> int:
-    # Largest number of neighbors in `among` at a strictly later layer, over
-    # `vertices`; -1 when `vertices` is empty. For adjacent vertices a later
-    # layer and a later position coincide.
-    adjacency = state.adjacency
-    layer_of = state.layer_of
-    best = -1
-    for v in vertices:
-        lv = layer_of[v]
-        count = 0
-        for w in adjacency[v]:
-            if layer_of[w] > lv and w in among:
-                count += 1
-        if count > best:
-            best = count
-    return best
-
-
 def _has_edge(state: _WalkState, vertices: Iterable[int], among: set[int]) -> bool:
     # Whether some vertex of `vertices` has a neighbor in `among`, stopping at
     # the first. Layers are independent, so inside one vertex set every edge
@@ -360,7 +342,7 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
             depth=depth,
             promoted_to_target=tuple(sorted(set(swept).difference(inner))),
             promoted_to_color=tuple(sorted(set(swept).difference(rest))),
-            inner_mask_later_degree=_later_degree(state, inner, set(inner)),
+            inner_mask_later_degree=_depth(state, inner, frozenset()) if inner else -1,
         ))
 
 

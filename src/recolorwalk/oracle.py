@@ -23,16 +23,15 @@ from .graphs import Coloring, Graph, check_coloring
 DEFAULT_STATE_CAP = 10 ** 7
 
 
-def _checked_total(g: Graph, k: int, cap: int | None) -> tuple[int, int]:
-    # (k^n, the cap in force), or StateSpaceTooLarge when k^n exceeds the cap.
+def _checked_total(g: Graph, k: int, cap: int) -> int:
+    # k^n, or StateSpaceTooLarge when k^n exceeds the cap.
     if k < 1:
         raise ValueError("k must be positive")
-    limit = DEFAULT_STATE_CAP if cap is None else cap
     # For k >= 2, k^(bits of the cap + 1) already exceeds the cap: stop there.
-    total = k ** min(g.n, limit.bit_length() + 1)
-    if total > limit:
-        raise StateSpaceTooLarge(f"k^n = {k}^{g.n} exceeds the state cap {limit}")
-    return total, limit
+    total = k ** min(g.n, cap.bit_length() + 1)
+    if total > cap:
+        raise StateSpaceTooLarge(f"k^n = {k}^{g.n} exceeds the state cap {cap}")
+    return total
 
 
 def _encode(colors, k: int) -> int:
@@ -50,7 +49,7 @@ def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def count_proper_colorings(g: Graph, k: int, cap: int | None = None) -> int:
+def count_proper_colorings(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> int:
     """Number of proper k-colorings, by backtracking over vertices 0..n-1."""
     _checked_total(g, k, cap)
     return sum(1 for _ in _proper_codes(g, k))
@@ -121,7 +120,7 @@ def _bfs_levels(g: Graph, k: int, start: int, total: int) -> tuple[int, int]:
 
 
 def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
-                 cap: int | None = None) -> int | None:
+                 cap: int = DEFAULT_STATE_CAP) -> int | None:
     """Exact shortest walk length between two proper colorings, or None
     when they lie in different components.
 
@@ -136,10 +135,10 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
     The search may scan every vertex of every state, so the cap bounds
     k^n x n: StateSpaceTooLarge when that product exceeds it.
     """
-    total, limit = _checked_total(g, k, cap)
-    if total * g.n > limit:
+    total = _checked_total(g, k, cap)
+    if total * g.n > cap:
         raise StateSpaceTooLarge(f"k^n x n = {k}^{g.n} x {g.n} states x vertices "
-                                 f"exceed the state cap {limit}")
+                                 f"exceed the state cap {cap}")
     check_coloring(g, alpha, "alpha", k)
     check_coloring(g, beta, "beta", k)
     start = _encode(alpha.colors, k)
@@ -162,7 +161,7 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
         frontiers[side] = frontier
 
 
-def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
+def exact_diameter(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> int | None:
     """Largest pairwise distance among proper colorings, or None when the
     walk space is disconnected (including the vacuous no-colorings case).
 
@@ -171,13 +170,13 @@ def exact_diameter(g: Graph, k: int, cap: int | None = None) -> int | None:
     as the colorings listed so far times k^n x n exceed it. Meant for tiny
     instances only.
     """
-    total, limit = _checked_total(g, k, cap)
+    total = _checked_total(g, k, cap)
     codes = []
     for code in _proper_codes(g, k):
         codes.append(code)
-        if len(codes) * total * g.n > limit:
+        if len(codes) * total * g.n > cap:
             raise StateSpaceTooLarge(f"at least {len(codes)} colorings x k^n x n = {k}^{g.n} "
-                                     f"x {g.n} states x vertices exceed the state cap {limit}")
+                                     f"x {g.n} states x vertices exceed the state cap {cap}")
     if not codes:
         return None
     best = 0

@@ -1,7 +1,8 @@
 """Deterministic graph and coloring builders shared by the test suite, the
 graph writer, special-independent-set enumeration, the one-sided distance
-search and the engine's first-written layer-depth and later-edge predicates
-the tests check against, the `eliminate` helper that reaches the engine's
+search, the first-written layer-depth and later-edge predicates the tests
+check the engine's against, which count later-layer neighbors on their own
+and call no engine code, the `eliminate` helper that reaches the engine's
 private color elimination, and two probes of the walk recursion: a per-call
 move counter for the layer-clearing calls and a sweep that corrupts a walk."""
 
@@ -202,6 +203,14 @@ def eliminate(g, p, boundary, c, target, palette, mask=None, trace=None) -> Reco
     return state.walk(c)
 
 
+def _later_degree(state, vertices, among) -> int:
+    # The most neighbors in `among` at a strictly later layer, over
+    # `vertices`; -1 when `vertices` is empty.
+    layer_of = state.layer_of
+    return max((sum(1 for w in state.adjacency[v] if w in among and layer_of[w] > layer_of[v])
+                for v in vertices), default=-1)
+
+
 def depth_reference(state, mask, palette) -> int:
     """`engine._depth` as first written: collect the neighbors of masked
     vertices that are masked or hold a palette color, then take the largest
@@ -209,7 +218,7 @@ def depth_reference(state, mask, palette) -> int:
     members = set(mask)
     holders = {w for v in mask for w in state.adjacency[v]
                if w in members or state.colors[w] in palette}
-    return max(engine._later_degree(state, mask, holders), 0)
+    return max(_later_degree(state, mask, holders), 0)
 
 
 def later_edge_reference(state, vertices) -> bool:
@@ -217,7 +226,7 @@ def later_edge_reference(state, vertices) -> bool:
     `vertices`: the full later-degree count over every member, where
     `engine._has_edge` stops at the first edge."""
     members = set(vertices)
-    return engine._later_degree(state, members, members) > 0
+    return _later_degree(state, members, members) > 0
 
 
 class _CountedColors(list):

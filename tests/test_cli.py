@@ -361,6 +361,30 @@ def test_report_is_deterministic(files, tmp_path, capsys):
     assert set(payload["inputs"]) == {"graph", "from", "to"}
 
 
+@pytest.mark.parametrize("argv, inputs, printed", [
+    (["mad", "{graph}"], {"graph"}, lambda out: out["mad"]),
+    (["partition", "{graph}", "-d", "2", "--epsilon", "1/2"], {"graph"},
+     lambda out: f"{out['s']} {out['t']}"),
+    (["verify", "{graph}", "{from}", "{sequence}", "-k", "3"], {"graph", "from", "sequence"},
+     lambda out: "OK final=" + out["final"]),
+    (["oracle", "{graph}", "-k", "3", "--distance", "{from}", "{to}"], {"graph", "from", "to"},
+     lambda out: out["answer"]),
+    (["oracle", "{graph}", "-k", "3", "--count"], {"graph"}, lambda out: out["answer"]),
+    (["oracle", "{graph}", "-k", "3", "--diameter"], {"graph"}, lambda out: out["answer"]),
+], ids=["mad", "partition", "verify", "oracle-distance", "oracle-count", "oracle-diameter"])
+def test_report_of_every_subcommand(files, tmp_path, capsys, argv, inputs, printed):
+    # The report names exactly the files the command read, and its outputs
+    # say what the command printed (the first line, for a partition).
+    paths = {"graph": files("p3.txt", P3), "from": files("from.txt", "1 2 1\n"),
+             "to": files("to.txt", "2 1 2\n"), "sequence": files("seq.txt", "0 3\n")}
+    path = tmp_path / "report.json"
+    assert main([arg.format_map(paths) for arg in argv] + ["--report", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    assert payload["exit_status"] == 0
+    assert set(payload["inputs"]) == inputs
+    assert printed(payload["outputs"]) == capsys.readouterr().out.splitlines()[0]
+
+
 def test_report_written_on_an_unexpected_fault(files, tmp_path, capsys, monkeypatch):
     # A fault outside the typed errors propagates unchanged, after the
     # report is written with the exit status its traceback gives.

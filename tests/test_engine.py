@@ -388,7 +388,8 @@ def test_depth_and_edge_test_match_their_references():
     # `_depth` counts in one pass, and `_clear_layer` asks `_has_edge` for
     # any edge from u into u | w_a, stopping at the first; on seeded graphs,
     # masks, palettes and colorings both agree with the first-written
-    # predicates in `families`.
+    # predicates in `families`. With an empty palette `_depth` is the trace's
+    # within-mask later-layer degree.
     rng = random.Random(1600)
     found = 0
     for i in range(200):
@@ -403,8 +404,9 @@ def test_depth_and_edge_test_match_their_references():
         state = engine._WalkState(g, ord_, families.random_proper_coloring(rng, g, k), None)
         mask = [v for v in ord_.order if rng.random() < 0.7]
         palette = frozenset(rng.sample(range(1, k + 1), rng.randint(2, k)))
-        assert engine._depth(state, mask, palette) == \
-            families.depth_reference(state, mask, palette)
+        for colors_in_play in (palette, frozenset()):
+            assert engine._depth(state, mask, colors_in_play) == \
+                families.depth_reference(state, mask, colors_in_play)
         assert engine._has_edge(state, mask, set(mask)) == \
             families.later_edge_reference(state, mask)
         h = rng.randrange(p.t)
@@ -1036,6 +1038,27 @@ def test_public_surface():
     assert len(set(recolorwalk.__all__)) == len(recolorwalk.__all__) == 35
     for name in recolorwalk.__all__:
         assert getattr(recolorwalk, name) is not None
+
+
+def test_every_private_helper_serves_the_package():
+    # A module-level private function or class must be used somewhere in the
+    # package outside its own definition: a helper only tests or
+    # instrumentation call belongs with them, not in `src/`.
+    used: dict[str, set[str]] = {}
+    defined = {}
+    for path in sorted(Path(recolorwalk.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                used.setdefault(name, set()).add(where)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and \
+                    top.name.startswith("_") and not top.name.startswith("__"):
+                defined[where] = top.name
+    assert len(defined) > 30
+    assert [f"{where} {name}" for where, name in defined.items()
+            if not used.get(name, set()) - {where}] == []
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
