@@ -46,7 +46,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import PaletteTooSmall, SequenceViolation
 from .graphs import Coloring, Graph, check_coloring
@@ -105,7 +105,8 @@ class WorkSets:
     `depth` is the layer-depth budget of the enclosing elimination. The two
     promoted sets are the earlier-layer vertices that each promotion sweep
     left on the target and on the replacement color, in ascending id (empty
-    when the cleared vertices were recolored directly);
+    when no neighbor of the cleared vertices held the replacement color, so
+    they were recolored directly);
     `inner_mask_later_degree` is `_depth`'s count over the unpromoted rest
     with an empty palette, the most later-layer neighbors a rest vertex has
     inside the rest (-1 for an empty rest), which the recursion requires to
@@ -230,18 +231,6 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     return rest
 
 
-def _has_edge(state: _WalkState, vertices: Iterable[int], among: set[int]) -> bool:
-    # Whether some vertex of `vertices` has a neighbor in `among`, stopping at
-    # the first. Layers are independent, so inside one vertex set every edge
-    # joins an earlier layer to a later one.
-    adjacency = state.adjacency
-    for v in vertices:
-        for w in adjacency[v]:
-            if w in among:
-                return True
-    return False
-
-
 def _depth(state: _WalkState, mask: Sequence[int], palette: frozenset[int]) -> int:
     # Layer-depth budget of an elimination: the most later-layer neighbors of
     # a masked vertex that could ever hold a palette color during the call,
@@ -275,17 +264,27 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     The mask must be in embedded order: layers never decrease along it, so
     a round's earlier layers are a prefix of the mask and its own layer a
     slice, both found by bisecting the mask's layers.
+
+    The layer-depth scan `_depth` and its PaletteTooSmall guard run only
+    for a traced call, whose claims record the depth; no move reads it. The
+    guard cannot fire from a public entry: `recolor_between` and
+    `reduce_palette` start with k >= s+2 colors against a depth of at most
+    s, and each nested call gets one color fewer for a strictly smaller
+    later-layer degree (the paper's lemma, which criterion 5 checks on
+    every traced claim).
     """
     if not mask:
         return
     layer_of = state.layer_of
     colors = state.colors
     adjacency = state.adjacency
-    depth = _depth(state, mask, palette)
-    if len(palette) < depth + 2:
-        raise PaletteTooSmall(
-            f"palette of {len(palette)} colors cannot clear a color at layer "
-            f"depth {depth}; at least {depth + 2} colors are needed")
+    depth = None
+    if state.trace is not None:
+        depth = _depth(state, mask, palette)
+        if len(palette) < depth + 2:
+            raise PaletteTooSmall(
+                f"palette of {len(palette)} colors cannot clear a color at layer "
+                f"depth {depth}; at least {depth + 2} colors are needed")
     layers = [layer_of[v] for v in mask]
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
         # Masks are lists or slices, never tuple(<generator>): that allocates
@@ -313,18 +312,33 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
 
 
 def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
-                 w_a: list[int], depth: int, palette: frozenset[int]) -> None:
+                 w_a: list[int], depth: int | None, palette: frozenset[int]) -> None:
     """Move the w_a vertices from `target` to `a`, recoloring only u | w_a.
 
     General shape: promote u toward `target` (freeing `a`-space below),
     recursively purge `a` from the unpromoted rest, recolor w_a directly,
     then repeat the first two phases with `a` and `target` interchanged so
-    u ends target-free again. When u | w_a has no internal forward edges the
-    direct recoloring alone is already proper. `w_a` is sorted.
+    u ends target-free again. `w_a` is sorted; `depth` is the enclosing
+    elimination's layer depth, None when untraced, and only the trace
+    reads it.
+
+    Direct move: when no neighbor of any w_a vertex holds `a`, w_a moves
+    straight to `a` and nothing else moves.
+    - Each move is proper whatever the invariants: w_a lies in one layer,
+      an independent set, so no move of w_a blocks another.
+    - It is taken at least wherever u | w_a holds no later-layer edge, as at
+      layer depth 0: unmasked earlier-layer vertices hold colors outside the
+      palette, the masked ones are u and then not adjacent to w_a, and w_a
+      already excludes vertices with a later-layer neighbor on `a`.
+    - u is untouched and free of `target` on entry, so every post-condition
+      holds: w_a ends on `a`, u stays free of `target`, and the layers above
+      stay as they were.
+    - Each w_a vertex moves once, as the general shape also charges, so
+      `walk_bound(s, t)` stays a valid ceiling.
     """
-    # No later-layer edge inside u | w_a: the direct recoloring is safe. Each
-    # such edge has an end in u, w_a being part of one layer.
-    if depth == 0 or not _has_edge(state, u, set(u).union(w_a)):
+    # The direct move, proper whenever `a` is free around w_a (see above).
+    colors, adjacency = state.colors, state.adjacency
+    if not any(colors[x] == a for v in w_a for x in adjacency[v]):
         for v in w_a:
             state.recolor(v, a)
         swept = inner = rest = ()

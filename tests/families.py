@@ -1,10 +1,11 @@
 """Deterministic graph and coloring builders shared by the test suite, the
 graph writer, special-independent-set enumeration, the one-sided distance
-search, the first-written layer-depth and later-edge predicates the tests
-check the engine's against, which count later-layer neighbors on their own
-and call no engine code, the `eliminate` helper that reaches the engine's
-private color elimination, and two probes of the walk recursion: a per-call
-move counter for the layer-clearing calls and a sweep that corrupts a walk."""
+search, the first-written layer-depth predicate the tests check the
+engine's against and the structural later-edge test the direct move must
+cover, both counting later-layer neighbors on their own with no engine code,
+the `eliminate` helper that reaches the engine's private color elimination,
+and two probes of the walk recursion: a per-call move counter for the
+layer-clearing calls and a sweep that corrupts a walk."""
 
 from __future__ import annotations
 
@@ -222,9 +223,9 @@ def depth_reference(state, mask, palette) -> int:
 
 
 def later_edge_reference(state, vertices) -> bool:
-    """`_clear_layer`'s first-written test for a later-layer edge inside
-    `vertices`: the full later-degree count over every member, where
-    `engine._has_edge` stops at the first edge."""
+    """Whether `vertices` hold a later-layer edge: the structural test by
+    which `_clear_layer` once chose its direct move, on u | w_a, before it
+    asked whether any neighbor of w_a holds the new color."""
     members = set(vertices)
     return _later_degree(state, members, members) > 0
 

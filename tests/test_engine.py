@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -127,9 +128,12 @@ class TestEliminateColor:
         assert seq.steps == ()
 
     def test_palette_too_small(self):
+        # The guard runs with the layer-depth scan, on traced calls only;
+        # no public entry can reach it (see `engine._eliminate`).
         p3 = families.path_graph(3)
         with pytest.raises(PaletteTooSmall):
-            eliminate(p3, P3_PARTITION, 2, Coloring((1, 2, 1), 2), 2, {1, 2})
+            eliminate(p3, P3_PARTITION, 2, Coloring((1, 2, 1), 2), 2, {1, 2},
+                      trace=EliminationTrace())
 
     def test_locality_on_random_layered_boundaries(self):
         rng = random.Random(414)
@@ -299,15 +303,15 @@ def _sparse_coloring(rng, c, low, k):
     return Coloring(tuple(spread.get(x, x) for x in c.colors), k)
 
 
-def walk_corpus_digest():
-    """sha256 over the traced `recolor_between` walks of a fixed seeded corpus.
+def walk_corpus():
+    """The traced `recolor_between` walks of a fixed seeded corpus, each with
+    its trace's claims.
 
     Ten instances each of trees (d=3, k=4), forests (d=2, k=3), degeneracy
     partitions with k = s+5, and degeneracy partitions with the colors above
-    s+2 spread up to 2,000; the hash covers every step and every claim.
+    s+2 spread up to 2,000.
     """
     rng = random.Random(6061)
-    digest = hashlib.sha256()
     for i in range(40):
         kind = i % 4
         if kind == 0:
@@ -326,35 +330,53 @@ def walk_corpus_digest():
             k = 2000
             alpha, beta = (_sparse_coloring(rng, c, p.s + 2, k) for c in (alpha, beta))
         trace = EliminationTrace()
-        seq = recolor_between(g, p, alpha, beta, k, trace=trace)
-        digest.update(repr(steps_as_pairs(seq)).encode())
-        digest.update(repr([(w.depth, w.promoted_to_target, w.promoted_to_color,
-                             w.inner_mask_later_degree)
-                            for w in trace.claims]).encode())
-    return digest.hexdigest()
+        yield recolor_between(g, p, alpha, beta, k, trace=trace), trace.claims
 
 
-def reduce_corpus_digest():
-    """sha256 over the `reduce_palette` walks of a fixed seeded corpus.
+def reduce_corpus():
+    """The `reduce_palette` walks of a fixed seeded corpus.
 
     Forty degeneracy partitions with k = s+5, the colors above s+2 spread up
     to 2,000, each coloring reduced to s+2 colors.
     """
     rng = random.Random(6062)
-    digest = hashlib.sha256()
     for _ in range(40):
         g = families.random_graph(rng, rng.randint(2, 20), rng.uniform(0.05, 0.4))
         p = degree_partition_from_degeneracy(g)
         c = _sparse_coloring(rng, families.random_proper_coloring(rng, g, p.s + 5),
                              p.s + 2, 2000)
-        digest.update(repr(steps_as_pairs(reduce_palette(g, p, c, 2000, p.s + 2))).encode())
+        yield reduce_palette(g, p, c, 2000, p.s + 2)
+
+
+def walk_corpus_digest():
+    """sha256 over `walk_corpus`, covering every step and every claim."""
+    digest = hashlib.sha256()
+    for seq, claims in walk_corpus():
+        digest.update(repr(steps_as_pairs(seq)).encode())
+        digest.update(repr([(w.depth, w.promoted_to_target, w.promoted_to_color,
+                             w.inner_mask_later_degree)
+                            for w in claims]).encode())
     return digest.hexdigest()
+
+
+def reduce_corpus_digest():
+    """sha256 over the steps of `reduce_corpus`."""
+    digest = hashlib.sha256()
+    for seq in reduce_corpus():
+        digest.update(repr(steps_as_pairs(seq)).encode())
+    return digest.hexdigest()
+
+
+def corpus_quality(seqs):
+    """Total steps and the largest `max_per_vertex` over `seqs`."""
+    stats = [sequence_stats(seq) for seq in seqs]
+    return sum(s.total for s in stats), max(s.max_per_vertex for s in stats)
 
 
 # A change that alters emitted walks on purpose updates these constants and
 # quotes the old and the new digests in CHANGES.md.
-PINNED_WALK_DIGEST = "9f8b5303eb5e7bff794f13ed72f546dd46ed63e5167af87db1f3be4f5734a14e"
-PINNED_REDUCE_DIGEST = "64d8acb85358eeeafa5c54f3c207ce8cca1a2b5fb19b7d369c7e67e0ba5ef8ac"
+PINNED_WALK_DIGEST = "cf4e2bf0b74fc0308078e7a09a3352798dc39ce79167ba1cd7a7630118c09227"
+PINNED_REDUCE_DIGEST = "e39306897c67174f91b76512d8706255597d7d37bd162e23bb02f08d7f728dd2"
 
 
 def test_walks_match_the_pinned_digest():
@@ -363,6 +385,17 @@ def test_walks_match_the_pinned_digest():
 
 def test_reductions_match_the_pinned_digest():
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
+
+
+def test_corpus_walks_stay_under_their_ceilings():
+    # The pinned corpora's walk quality as (total steps, largest
+    # `max_per_vertex`) ceilings, so a change to the walks shows its
+    # direction here, not only as a digest mismatch. At the pinned digests
+    # they read exactly these values.
+    steps, most = corpus_quality(seq for seq, _ in walk_corpus())
+    assert steps <= 1_263 and most <= 9, (steps, most)
+    steps, most = corpus_quality(reduce_corpus())
+    assert steps <= 548 and most <= 6, (steps, most)
 
 
 def test_masks_stay_in_embedded_order(monkeypatch):
@@ -384,14 +417,12 @@ def test_masks_stay_in_embedded_order(monkeypatch):
     assert callers == {"_reduce", "_between", "_clear_layer"}
 
 
-def test_depth_and_edge_test_match_their_references():
-    # `_depth` counts in one pass, and `_clear_layer` asks `_has_edge` for
-    # any edge from u into u | w_a, stopping at the first; on seeded graphs,
-    # masks, palettes and colorings both agree with the first-written
-    # predicates in `families`. With an empty palette `_depth` is the trace's
-    # within-mask later-layer degree.
+def test_depth_matches_its_reference():
+    # `_depth` counts in one pass; on seeded graphs, masks, palettes and
+    # colorings it agrees with the first-written predicate in `families`.
+    # With an empty palette `_depth` is the trace's within-mask later-layer
+    # degree.
     rng = random.Random(1600)
-    found = 0
     for i in range(200):
         if i % 2:
             g = families.random_tree(rng, rng.randint(1, 30))
@@ -407,15 +438,35 @@ def test_depth_and_edge_test_match_their_references():
         for colors_in_play in (palette, frozenset()):
             assert engine._depth(state, mask, colors_in_play) == \
                 families.depth_reference(state, mask, colors_in_play)
-        assert engine._has_edge(state, mask, set(mask)) == \
-            families.later_edge_reference(state, mask)
-        h = rng.randrange(p.t)
-        u = [v for v in mask if ord_.layer_of[v] < h]
-        w_a = [v for v in mask if ord_.layer_of[v] == h and rng.random() < 0.7]
-        edge = engine._has_edge(state, u, set(u).union(w_a))
-        assert edge == families.later_edge_reference(state, u + w_a)
-        found += edge
-    assert 20 < found < 180
+
+
+def test_direct_move_covers_the_structural_test(monkeypatch):
+    # `_clear_layer` moves w_a straight to its new color whenever no neighbor
+    # holds that color, which must cover the structural test of no
+    # later-layer edge inside u | w_a (`families.later_edge_reference`): on
+    # both pinned corpora, every clearing call that passes the structural
+    # test at entry moves the w_a vertices once each and nothing else. Some
+    # calls that fail it move directly too.
+    families.count_clearing_moves(monkeypatch.setattr)
+    clear_layer = engine._clear_layer
+    seen = {True: 0, False: 0}
+    direct = {True: 0, False: 0}
+
+    def checked(state, target, a, u, w_a, depth, palette):
+        edge = families.later_edge_reference(state, [*u, *w_a])
+        writes = state.colors.writes
+        entry = writes.copy()
+        clear_layer(state, target, a, u, w_a, depth, palette)
+        moved = writes - entry
+        once = moved == Counter(w_a)
+        if not edge:
+            assert once, (u, w_a, moved)
+        seen[edge] += 1
+        direct[edge] += once
+    monkeypatch.setattr(engine, "_clear_layer", checked)
+    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
+    assert seen[False] > 0 and 0 < direct[True] < seen[True], (seen, direct)
 
 
 class TestCompaction:
@@ -865,11 +916,12 @@ class TestVerifySequence:
 def test_walk_peak_bytes_per_step():
     # The walk is kept as flat int lists and tuples, with no object per
     # step, and compacted as it is built: one `recolor_between` on a
-    # 1000-vertex tree peaks at most at 64 traced bytes per move of its
-    # 63,696-move construction (16 here; 41 when every move was kept as a
-    # step, 159 with a frozen step object per step).
+    # 3000-vertex tree peaks at most at 64 traced bytes per move of its
+    # 121,466-move construction (21 here; on the 1000-vertex tree of the
+    # same seed, 41 when every move was kept as a step and 159 with a frozen
+    # step object per step).
     rng = random.Random(1000)
-    g = families.random_tree(rng, 1000)
+    g = families.random_tree(rng, 3000)
     p = build_degree_partition(g, SpecialISParams(3, HALF))
     alpha = families.random_proper_coloring(rng, g, 4)
     beta = families.random_proper_coloring(rng, g, 4)
@@ -881,19 +933,20 @@ def test_walk_peak_bytes_per_step():
     finally:
         tracemalloc.stop()
     assert len(seq.vertices) > 5_000
-    assert peak <= 64 * 63_696
+    assert peak <= 64 * 121_466
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_walk_leaves_no_tuples_behind(seed):
     # A walk whose result is dropped leaves at most 16 KiB traced once it
-    # returns (2.6 KiB here). Masks built as tuple(<generator>) left 80-265
-    # KiB on these instances: each small tuple freed parks its block in
-    # CPython's per-size tuple free lists, which only a full collection
-    # empties, and which pin allocator arenas between requests. The walks
-    # are 884-2,202 steps long.
+    # returns (2.9-3.5 KiB here). Masks built as tuple(<generator>) left
+    # 70-84 KiB on these instances when `_eliminate`'s earlier-layer slices
+    # and `_between`'s next masks were built that way: each small tuple
+    # freed parks its block in CPython's per-size tuple free lists, which
+    # only a full collection empties, and which pin allocator arenas between
+    # requests. The walks are 1,059-1,380 steps long.
     rng = random.Random(seed)
-    g = families.random_graph(rng, 100, 0.025)
+    g = families.random_graph(rng, 120, 0.025)
     p = degree_partition_from_degeneracy(g)
     k = p.s + 5
     alpha = families.random_proper_coloring(rng, g, k)
@@ -989,6 +1042,29 @@ def test_trace_observes_and_never_steers():
         assert traced.steps == recolor_between(g, p, alpha, beta, k).steps
         claims += len(trace.claims)
     assert claims
+
+
+def test_only_traced_walks_scan_the_layer_depth(monkeypatch):
+    # `_depth` feeds only the trace's claims and its guard, so untraced
+    # walks and reductions never run it; a traced walk does.
+    depth, scans = engine._depth, []
+
+    def counted(*args):
+        scans.append(args)
+        return depth(*args)
+    monkeypatch.setattr(engine, "_depth", counted)
+    rng = random.Random(4444)
+    for _ in range(20):
+        g = families.random_graph(rng, rng.randint(2, 12), rng.random() * 0.5)
+        p = degree_partition_from_degeneracy(g)
+        k = p.s + 3
+        alpha = families.random_proper_coloring(rng, g, k)
+        beta = families.random_proper_coloring(rng, g, k)
+        recolor_between(g, p, alpha, beta, k)
+        reduce_palette(g, p, alpha, k, p.s + 2)
+    assert not scans
+    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert scans
 
 
 def test_clear_calls_count_every_clearing_call(monkeypatch):
