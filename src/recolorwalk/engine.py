@@ -100,7 +100,9 @@ class RecolorStats:
 
 @dataclass(frozen=True)
 class WorkSets:
-    """Instrumentation snapshot of one inner layer-clearing call.
+    """Instrumentation snapshot of one inner layer-clearing call. Layer
+    vertices that moved early, to a color no neighbor held, make no call and
+    so no snapshot (see `_eliminate`).
 
     `depth` is the layer-depth budget of the enclosing elimination. The two
     promoted sets are the earlier-layer vertices that each promotion sweep
@@ -265,6 +267,26 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     a round's earlier layers are a prefix of the mask and its own layer a
     slice, both found by bisecting the mask's layers.
 
+    Early move: a round first moves each of its layer's vertices on
+    `target` to the smallest other palette color that no neighbor holds.
+    Only the vertices with no such color go on to the replacement passes
+    and `_clear_layer`; that is one admissible choice of the paper's
+    replacement color, which need only be free of later-layer neighbors.
+    - Each move is proper: no neighbor of v holds the chosen color when v
+      moves, and the moved vertices lie in one layer, an independent set,
+      so no move of the round blocks another.
+    - The round keeps its post-conditions: only layer-h vertices move, and
+      only off `target`, so u and the later layers stay as they were.
+    - The depth lemma still holds. Every unpromoted vertex of a later
+      `_clear_layer` call has a blocker on `target`, which lies outside the
+      nested mask and palette: the nested depth does not count it, the
+      enclosing depth does. A vertex that moved early is masked in this
+      call, so the enclosing depth already counted it, and the nested depth
+      still drops by at least 1.
+    - `walk_bound(s, t)` still holds: an active-layer vertex is still
+      recolored directly at most once per elimination, early or in
+      `_clear_layer`, as the bound charges.
+
     The layer-depth scan `_depth` and its PaletteTooSmall guard run only
     for a traced call, whose claims record the depth; no move reads it. The
     guard cannot fire from a public entry: `recolor_between` and
@@ -286,6 +308,7 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
                 f"palette of {len(palette)} colors cannot clear a color at layer "
                 f"depth {depth}; at least {depth + 2} colors are needed")
     layers = [layer_of[v] for v in mask]
+    replacements = sorted(palette - {target})
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
         # Masks are lists or slices, never tuple(<generator>): that allocates
         # at a guessed size and resizes, so each small mask freed parks a
@@ -295,7 +318,14 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
         start = bisect_left(layers, h)
         u = mask[:start]
         w = [v for v in mask[start:bisect_right(layers, h, start)] if colors[v] == target]
-        for a in sorted(palette - {target}):
+        for v in w:  # the early move
+            held = {colors[x] for x in adjacency[v]}
+            for a in replacements:
+                if a not in held:
+                    state.recolor(v, a)
+                    break
+        w = [v for v in w if colors[v] == target]
+        for a in replacements:
             if not w:
                 break
             w_a = []
@@ -320,7 +350,8 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
     then repeat the first two phases with `a` and `target` interchanged so
     u ends target-free again. `w_a` is sorted; `depth` is the enclosing
     elimination's layer depth, None when untraced, and only the trace
-    reads it.
+    reads it. Layer vertices that `_eliminate` moved early, to a color no
+    neighbor held, never reach this call.
 
     Direct move: when no neighbor of any w_a vertex holds `a`, w_a moves
     straight to `a` and nothing else moves.
@@ -546,7 +577,9 @@ def walk_bound(s: int, t: int) -> int:
     replacement-color passes; each pass touches an earlier-layer vertex at
     most twice directly (the two promotion sweeps) plus twice recursively one
     depth lower, and an active-layer vertex is directly recolored at most
-    once over the whole call (the active layer only ever moves upward):
+    once over the whole call, by the round's early move to a color no
+    neighbor holds or by a clearing call (the active layer only ever moves
+    upward):
 
         elim(0, t) = 1
         elim(s, t) = t * (s + 1) * (2 + 2 * elim(s - 1, t)) + 1

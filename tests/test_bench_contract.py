@@ -52,7 +52,7 @@ def test_run_reads_resolve_on_a_small_instance():
     for layer in part.layers:
         assert len(layer) >= params.threshold(h)
         h -= len(layer)
-    alpha = recolorwalk.Coloring((1, 3, 2, 2), 3)
+    alpha = recolorwalk.Coloring((3, 1, 2, 2), 3)
     beta = recolorwalk.Coloring((2, 1, 1, 3), 3)
     trace = recolorwalk.EliminationTrace()
     seq = recolorwalk.recolor_between(g, part, alpha, beta, part.s + 2, trace=trace)
