@@ -106,9 +106,7 @@ class WorkSets:
 
     `depth` is the layer-depth budget of the enclosing elimination. The two
     promoted sets are the earlier-layer vertices that each promotion sweep
-    left on the target and on the replacement color, in ascending id (empty
-    when no neighbor of the cleared vertices held the replacement color, so
-    they were recolored directly);
+    left on the target and on the replacement color, in ascending id;
     `inner_mask_later_degree` is `_depth`'s count over the unpromoted rest
     with an empty palette, the most later-layer neighbors a rest vertex has
     inside the rest (-1 for an empty rest), which the recursion requires to
@@ -267,16 +265,19 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     a round's earlier layers are a prefix of the mask and its own layer a
     slice, both found by bisecting the mask's layers.
 
-    Early move: a round first moves each of its layer's vertices on
-    `target` to the smallest other palette color that no neighbor holds.
-    Only the vertices with no such color go on to the replacement passes
-    and `_clear_layer`; that is one admissible choice of the paper's
-    replacement color, which need only be free of later-layer neighbors.
+    Early move: before each replacement pass, a round moves each of its
+    layer's vertices still on `target` to the smallest other palette color
+    that no neighbor holds; vertices that an earlier pass's clearing call
+    moved are skipped. Only the vertices with no such color go on to the
+    pass's w_a test and `_clear_layer`, which so finds `a` held next to
+    each of them. That is one admissible choice of the paper's replacement
+    color, which need only be free of later-layer neighbors.
     - Each move is proper: no neighbor of v holds the chosen color when v
       moves, and the moved vertices lie in one layer, an independent set,
-      so no move of the round blocks another.
-    - The round keeps its post-conditions: only layer-h vertices move, and
-      only off `target`, so u and the later layers stay as they were.
+      so no early move blocks another.
+    - The round keeps its post-conditions: early moves move only layer-h
+      vertices, and only off `target`, so they leave u and the later
+      layers as they were.
     - The depth lemma still holds. Every unpromoted vertex of a later
       `_clear_layer` call has a blocker on `target`, which lies outside the
       nested mask and palette: the nested depth does not count it, the
@@ -284,8 +285,9 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
       call, so the enclosing depth already counted it, and the nested depth
       still drops by at least 1.
     - `walk_bound(s, t)` still holds: an active-layer vertex is still
-      recolored directly at most once per elimination, early or in
-      `_clear_layer`, as the bound charges.
+      recolored directly at most once per elimination, by an early move or
+      in `_clear_layer`, as the bound charges; once off `target` it is
+      skipped by every later pass, and nested calls never mask its layer.
 
     The layer-depth scan `_depth` and its PaletteTooSmall guard run only
     for a traced call, whose claims record the depth; no move reads it. The
@@ -317,15 +319,16 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
         # meanwhile.
         start = bisect_left(layers, h)
         u = mask[:start]
-        w = [v for v in mask[start:bisect_right(layers, h, start)] if colors[v] == target]
-        for v in w:  # the early move
-            held = {colors[x] for x in adjacency[v]}
-            for a in replacements:
-                if a not in held:
-                    state.recolor(v, a)
-                    break
-        w = [v for v in w if colors[v] == target]
+        w = mask[start:bisect_right(layers, h, start)]
         for a in replacements:
+            w = [v for v in w if colors[v] == target]
+            for v in w:  # the early move
+                held = {colors[x] for x in adjacency[v]}
+                for b in replacements:
+                    if b not in held:
+                        state.recolor(v, b)
+                        break
+            w = [v for v in w if colors[v] == target]
             if not w:
                 break
             w_a = []
@@ -338,55 +341,33 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
             if not w_a:
                 continue
             _clear_layer(state, target, a, u, w_a, depth, palette)
-            w = [v for v in w if colors[v] == target]
 
 
 def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
                  w_a: list[int], depth: int | None, palette: frozenset[int]) -> None:
     """Move the w_a vertices from `target` to `a`, recoloring only u | w_a.
 
-    General shape: promote u toward `target` (freeing `a`-space below),
-    recursively purge `a` from the unpromoted rest, recolor w_a directly,
-    then repeat the first two phases with `a` and `target` interchanged so
-    u ends target-free again. `w_a` is sorted; `depth` is the enclosing
-    elimination's layer depth, None when untraced, and only the trace
-    reads it. Layer vertices that `_eliminate` moved early, to a color no
-    neighbor held, never reach this call.
-
-    Direct move: when no neighbor of any w_a vertex holds `a`, w_a moves
-    straight to `a` and nothing else moves.
-    - Each move is proper whatever the invariants: w_a lies in one layer,
-      an independent set, so no move of w_a blocks another.
-    - It is taken at least wherever u | w_a holds no later-layer edge, as at
-      layer depth 0: unmasked earlier-layer vertices hold colors outside the
-      palette, the masked ones are u and then not adjacent to w_a, and w_a
-      already excludes vertices with a later-layer neighbor on `a`.
-    - u is untouched and free of `target` on entry, so every post-condition
-      holds: w_a ends on `a`, u stays free of `target`, and the layers above
-      stay as they were.
-    - Each w_a vertex moves once, as the general shape also charges, so
-      `walk_bound(s, t)` stays a valid ceiling.
+    Promote u toward `target` (freeing `a`-space below), recursively purge
+    `a` from the unpromoted rest, recolor w_a directly, then repeat the
+    first two phases with `a` and `target` interchanged so u ends
+    target-free again. `w_a` is sorted; `depth` is the enclosing
+    elimination's layer depth, None when untraced, and only the trace reads
+    it. Layer vertices with a palette color that no neighbor holds moved
+    early in `_eliminate` and never reach this call, so some neighbor of
+    each w_a vertex holds `a` on entry.
     """
-    # The direct move, proper whenever `a` is free around w_a (see above).
-    colors, adjacency = state.colors, state.adjacency
-    if not any(colors[x] == a for v in w_a for x in adjacency[v]):
-        for v in w_a:
-            state.recolor(v, a)
-        swept = inner = rest = ()
-    else:
-        swept = u
-        inner = _promote(state, u, target)
-        _eliminate(state, a, palette - {target}, inner)
-        for v in w_a:
-            state.recolor(v, a)
-        rest = _promote(state, u, a)
-        _eliminate(state, target, palette - {a}, rest)
+    inner = _promote(state, u, target)
+    _eliminate(state, a, palette - {target}, inner)
+    for v in w_a:
+        state.recolor(v, a)
+    rest = _promote(state, u, a)
+    _eliminate(state, target, palette - {a}, rest)
     if state.trace is not None:
         # A sweep promoted the vertices of its mask it did not return.
         state.trace.claims.append(WorkSets(
             depth=depth,
-            promoted_to_target=tuple(sorted(set(swept).difference(inner))),
-            promoted_to_color=tuple(sorted(set(swept).difference(rest))),
+            promoted_to_target=tuple(sorted(set(u).difference(inner))),
+            promoted_to_color=tuple(sorted(set(u).difference(rest))),
             inner_mask_later_degree=_depth(state, inner, frozenset()) if inner else -1,
         ))
 
@@ -577,7 +558,7 @@ def walk_bound(s: int, t: int) -> int:
     replacement-color passes; each pass touches an earlier-layer vertex at
     most twice directly (the two promotion sweeps) plus twice recursively one
     depth lower, and an active-layer vertex is directly recolored at most
-    once over the whole call, by the round's early move to a color no
+    once over the whole call, by a pass's early move to a color no
     neighbor holds or by a clearing call (the active layer only ever moves
     upward):
 

@@ -224,8 +224,10 @@ def depth_reference(state, mask, palette) -> int:
 
 def later_edge_reference(state, vertices) -> bool:
     """Whether `vertices` hold a later-layer edge: the structural test by
-    which `_clear_layer` once chose its direct move, on u | w_a, before it
-    asked whether any neighbor of w_a holds the new color."""
+    which `_clear_layer` once moved w_a straight to the new color when
+    u | w_a had no such edge. `_clear_layer` has no such move any more:
+    without that edge no neighbor of w_a holds the new color, so w_a moved
+    early in `_eliminate` and makes no clearing call."""
     members = set(vertices)
     return _later_degree(state, members, members) > 0
 

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -497,3 +499,28 @@ def test_networkx_loads_only_where_exact_mad_runs(files, tmp_path):
         (name, 0, False) for name in ("partition", "recolor", "verify", "oracle", "mad")]
     assert code == 0 and loaded is True
     assert exact == cheap[-1][2] == "3/1"
+
+
+def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch):
+    # The shell transcript under the README's "Examples:" runs as written:
+    # each `printf ... > file` writes its file, and each `recolorwalk` line
+    # runs through `main` and prints exactly the lines shown after it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = readme.split("\nExamples:\n", 1)[1]
+    transcript = re.search(r"```sh\n(.*?)```", examples, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for command in re.split(r"^\$ ", transcript, flags=re.MULTILINE)[1:]:
+        line, *shown = command.splitlines()
+        argv = shlex.split(line)
+        if argv[0] == "printf":
+            fmt, redirect, name = argv[1:]
+            assert redirect == ">" and not shown, line
+            (tmp_path / name).write_text(fmt.encode().decode("unicode_escape"))
+            continue
+        assert argv[0] == "recolorwalk", line
+        assert main(argv[1:]) == 0, line
+        assert capsys.readouterr().out.splitlines() == shown, line
+        runs.append((argv[1], shown))
+    assert runs == [("recolor", ["4"]), ("verify", ["OK final=2 1 2"]),
+                    ("oracle", ["4"]), ("mad", ["4/3"])]
