@@ -46,6 +46,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import eq
 from typing import Callable, Sequence
 
 from .errors import PaletteTooSmall, SequenceViolation
@@ -507,9 +508,11 @@ def verify_sequence(g: Graph, seq: RecoloringSequence) -> Coloring:
     k = seq.initial.k
     if len(colors) != g.n:
         raise ValueError(f"coloring has {len(colors)} entries for {g.n} vertices")
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            raise SequenceViolation(-1, f"initial coloring improper on edge ({u}, {v})")
+    color_of = colors.__getitem__
+    if any(map(eq, map(color_of, g.us), map(color_of, g.vs))):
+        # Only a failed check pays for the ordered scan naming the lowest edge.
+        u, v = next((u, v) for u, v in g.edges() if colors[u] == colors[v])
+        raise SequenceViolation(-1, f"initial coloring improper on edge ({u}, {v})")
     n = g.n
     adjacency = g.adjacency
     for i, (v, c) in enumerate(zip(seq.vertices, seq.new_colors)):

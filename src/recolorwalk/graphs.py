@@ -13,6 +13,14 @@ enters a comparison. Text formats:
 * coloring file: n whitespace-separated integers in ``{1..k}``, vertex
   order ``0..n-1``.
 
+Inputs are read and checked in bulk, in C loops over the whole text or
+over a graph's flat edge lists: `parse_graph` splits, converts and checks
+every line at once, `parse_coloring` converts every color at once and
+`Coloring` checks their range with min and max, and `check_coloring`
+compares the colors at both ends of every edge. The line-by-line or
+per-vertex reading runs only once a bulk check has failed, to name the
+first bad line or vertex.
+
 networkx, used for the minimum cut in `mad_exact`, is imported only when
 exact mad runs, not when this module loads.
 """
@@ -20,8 +28,9 @@ exact mad runs, not when this module loads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import eq, lt
 from typing import Iterable, Iterator
 
 from .errors import GraphFormatError, ImproperInput, StateSpaceTooLarge
@@ -34,19 +43,26 @@ class Graph:
     """Simple undirected graph with 0-based vertex ids.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``; ``m`` is
-    the edge count, half the sum of the adjacency list lengths.
+    the edge count, half the sum of the adjacency list lengths. ``us`` and
+    ``vs`` hold each edge once as two flat endpoint tuples in input order,
+    edge i being ``(us[i], vs[i])`` with ``us[i] < vs[i]``, so a check over
+    every edge runs in C loops; `edges` is the ordered view. Two graphs with
+    the same adjacency are equal whatever their edge order.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     m: int
+    us: tuple[int, ...] = field(compare=False, repr=False)
+    vs: tuple[int, ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
             raise ValueError("graph must have at least one vertex")
         seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
+        us: list[int] = []
+        vs: list[int] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
@@ -56,9 +72,9 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj), m=len(seen))
+            us.append(key[0])
+            vs.append(key[1])
+        return _graph(n, us, vs)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -81,9 +97,21 @@ class Coloring:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("palette size must be positive")
-        for v, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
-                raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
+        # min and max check the range; the loop runs only to name a vertex.
+        if self.colors and not (1 <= min(self.colors) and max(self.colors) <= self.k):
+            for v, c in enumerate(self.colors):
+                if not 1 <= c <= self.k:
+                    raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
+
+
+def _graph(n: int, us: list[int], vs: list[int]) -> Graph:
+    """The graph on n vertices whose edges, already checked, are
+    (us[i], vs[i]) with us[i] < vs[i]."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n, tuple(map(tuple, map(sorted, adj))), len(us), tuple(us), tuple(vs))
 
 
 def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -105,7 +133,33 @@ def int_pair(fields: list[str], line_no: int, expected: str) -> tuple[int, int]:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the graph text format, reporting the offending line on error."""
+    """Parse the graph text format, reporting the offending line on error.
+
+    Text without ``#`` is read in bulk: C loops split every line, convert
+    every field and check the header and all edges at once. Text that fails
+    there, or holds a ``#``, goes to `_read_graph_lines`, which raises at the
+    first bad line and is the reference the bulk read is tested against.
+    """
+    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
+        # Every line separator is whitespace to split(), so the fields are
+        # the lines' fields in order: the header, then two per edge.
+        try:
+            n, m, *values = map(int, text.split())
+        except ValueError:  # no header, or a field that is not an integer
+            pass
+        else:
+            us, vs = values[0::2], values[1::2]
+            # len(us) == m also rules out m < 0; u < v and the range of the
+            # smallest u and largest v put every end in 0..n-1.
+            if (n >= 1 and len(us) == m and all(map(lt, us, vs))
+                    and min(us, default=0) >= 0 and max(vs, default=0) < n
+                    and len(set(zip(us, vs))) == m):
+                return _graph(n, us, vs)
+    return _read_graph_lines(text)
+
+
+def _read_graph_lines(text: str) -> Graph:
+    # The graph format read line by line, naming the first bad line.
     lines = content_lines(text)
     header = next(lines, None)
     if header is None:
@@ -134,7 +188,7 @@ def parse_graph(text: str) -> Graph:
         first_line[(u, v)] = line_no
     if len(first_line) != m:
         raise GraphFormatError(f"expected {m} edges, found {len(first_line)}")
-    return Graph.from_edges(n, first_line)
+    return _graph(n, [u for u, _ in first_line], [v for _, v in first_line])
 
 
 def parse_coloring(text: str, n: int, k: int) -> Coloring:
@@ -142,13 +196,17 @@ def parse_coloring(text: str, n: int, k: int) -> Coloring:
     fields = text.split()
     if len(fields) != n:
         raise GraphFormatError(f"expected {n} colors, found {len(fields)}")
+    try:
+        return Coloring(tuple(map(int, fields)), k)
+    except ValueError:
+        pass  # converted and range-checked in C; name the first bad vertex
     colors = []
-    for v, field in enumerate(fields):
+    for v, token in enumerate(fields):
         try:
-            c = int(field)
+            c = int(token)
         except ValueError:
             raise GraphFormatError(
-                f"color for vertex {v} is not an integer: {field!r}") from None
+                f"color for vertex {v} is not an integer: {token!r}") from None
         if not 1 <= c <= k:
             raise GraphFormatError(f"color {c} for vertex {v} outside 1..{k}")
         colors.append(c)
@@ -168,8 +226,8 @@ def check_coloring(g: Graph, c: Coloring, name: str, k: int) -> None:
         raise ValueError(f"{name} has {len(c.colors)} entries for {g.n} vertices")
     if c.k != k:
         raise ValueError(f"{name} declares palette {c.k}, expected {k}")
-    colors = c.colors
-    if any(colors[u] == colors[v] for u, v in g.edges()):
+    color_of = c.colors.__getitem__
+    if any(map(eq, map(color_of, g.us), map(color_of, g.vs))):
         raise ImproperInput(f"{name} is not a proper coloring")
 
 

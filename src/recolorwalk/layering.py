@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
 
 from .errors import SizeGuaranteeViolated
 from .graphs import Graph, degeneracy_ordering
@@ -81,25 +82,32 @@ def build_degree_partition(g: Graph, params: SpecialISParams) -> DegreePartition
     partition_round_bound(n, params); a round short of it raises
     SizeGuaranteeViolated naming the round, the symptom of a failed density
     precondition.
+
+    Residual degrees are kept as running counts: when a layer leaves, each
+    of its vertices' neighbors loses one. The residual vertices stay in a
+    list in ascending id, which a C-level filter rebuilds once per round, so
+    peeling costs O(n + m) plus one pass over the residual list per round.
     """
-    active = set(range(g.n))
+    adjacency = g.adjacency
+    residual_degree = list(map(len, adjacency))
+    active = list(range(g.n))
     layers = []
     while active:
         # Each pick blocks at most d - 1 later candidates.
         layer: list[int] = []
         blocked: set[int] = set()
-        for v in sorted(active):
-            if v in blocked:
-                continue
-            residual_degree = sum(1 for w in g.adjacency[v] if w in active)
-            if residual_degree <= params.d - 1:
+        for v in active:
+            if residual_degree[v] <= params.d - 1 and v not in blocked:
                 layer.append(v)
-                blocked.update(g.adjacency[v])
+                blocked.update(adjacency[v])
         need = params.threshold(len(active))
         if len(layer) < need:
             raise SizeGuaranteeViolated(len(layer), need, len(active), len(layers) + 1)
         layers.append(tuple(layer))
-        active.difference_update(layer)
+        for v in layer:
+            for w in adjacency[v]:
+                residual_degree[w] -= 1
+        active = list(filterfalse(set(layer).__contains__, active))
     return DegreePartition(s=params.d - 1, layers=tuple(layers))
 
 

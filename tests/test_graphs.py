@@ -1,27 +1,34 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recolorwalk.graphs as graph_module
 from recolorwalk import (
     Coloring,
     Graph,
     GraphFormatError,
     ImproperInput,
+    RecoloringSequence,
+    SequenceViolation,
     StateSpaceTooLarge,
     degeneracy_ordering,
     mad_brute,
     mad_exact,
     parse_coloring,
     parse_graph,
+    verify_sequence,
 )
+from recolorwalk.cli import main
 from recolorwalk.graphs import check_coloring
 
 import families
 from families import serialize_graph
+from test_sequence_file import LINES, SEPARATORS, SPACES, TOKENS
 
 
 @st.composite
@@ -133,6 +140,153 @@ class TestParse:
             parse_coloring("1 x 1", 3, 3)
 
 
+def reference_parse_coloring(text: str, n: int, k: int) -> Coloring:
+    # The per-vertex reader `parse_coloring` replaced, kept verbatim as the
+    # reference its results and errors must match.
+    fields = text.split()
+    if len(fields) != n:
+        raise GraphFormatError(f"expected {n} colors, found {len(fields)}")
+    colors = []
+    for v, field in enumerate(fields):
+        try:
+            c = int(field)
+        except ValueError:
+            raise GraphFormatError(
+                f"color for vertex {v} is not an integer: {field!r}") from None
+        if not 1 <= c <= k:
+            raise GraphFormatError(f"color {c} for vertex {v} outside 1..{k}")
+        colors.append(c)
+    return Coloring(tuple(colors), k)
+
+
+def coloring_outcome(parse, text, n, k):
+    try:
+        return parse(text, n, k)
+    except (GraphFormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-1, 5).map(str), TOKENS), max_size=6),
+       SPACES, st.integers(0, 4))
+def test_parse_coloring_matches_the_per_vertex_reader(fields, space, k):
+    # A bad color and a non-integer in one file: the error names the first
+    # bad vertex, whichever fault it has.
+    text = space.join(fields)
+    assert coloring_outcome(parse_coloring, text, len(fields), k) == \
+        coloring_outcome(reference_parse_coloring, text, len(fields), k)
+
+
+def spelled(value: int):
+    """Spellings that int() reads as `value`."""
+    sign, digits = "-" if value < 0 else "", str(abs(value))
+    spellings = [sign + digits, sign + "0" + digits, (sign or "+") + digits]
+    if len(digits) > 1:
+        spellings.append(f"{sign}{digits[0]}_{digits[1:]}")
+    return st.sampled_from(spellings)
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph files near the format: a valid graph's lines, other spellings
+    and spacings of its integers, and up to two faults. A fault is graph
+    specific (u >= v, an end out of range, a duplicate edge, a header m too
+    small or too large, n below 1) or one of the sequence file's: a token
+    that is no integer, or a comment, blank or malformed line."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [list(e) for e in draw(st.lists(st.sampled_from(pairs), unique=True))] \
+        if pairs else []
+    m = len(edges)
+    faults = draw(st.lists(st.sampled_from(
+        ["swap", "loop", "range", "duplicate", "m", "n", "token", "line"]), max_size=2))
+    for fault in faults:
+        if fault == "m":
+            m += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif fault == "n":
+            n = draw(st.integers(-1, 0))
+        elif fault in ("token", "line") or not edges:
+            continue
+        elif fault == "duplicate":
+            edge = draw(st.sampled_from(edges))
+            edges.insert(draw(st.integers(0, len(edges))), list(edge))
+            m += 1
+        else:
+            edge = draw(st.sampled_from(edges))
+            if fault == "swap":
+                edge.reverse()
+            elif fault == "loop":
+                edge[1] = edge[0]
+            else:
+                end = draw(st.integers(0, 1))
+                edge[end] = draw(st.sampled_from([-2, -1] if end == 0 else [n, n + 3]))
+    rows = [[draw(spelled(a)), draw(spelled(b))] for a, b in [[n, m], *edges]]
+    for fault in faults:
+        if fault == "token":
+            draw(st.sampled_from(rows))[draw(st.integers(0, 1))] = draw(TOKENS)
+    lines = [a + draw(SPACES) + b for a, b in rows]
+    for _ in range(faults.count("line")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(LINES))
+    text = ""
+    for line in lines:
+        # Mostly "\n": a " " separator joins two lines into one bad line.
+        text += line + draw(st.one_of(st.just("\n"), SEPARATORS))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def parse_outcome(parse, text):
+    """The graph with its edges in input order, or (line number, message)."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return exc.line_no, str(exc)
+    return g, g.us, g.vs
+
+
+class TestBulkParse:
+    # `parse_graph` reads text without "#" in bulk; `_read_graph_lines` is
+    # the line reader it falls back to, and the reference it must match.
+    @settings(max_examples=400, deadline=None)
+    @given(graph_texts())
+    def test_matches_the_line_reader(self, text):
+        assert parse_outcome(parse_graph, text) == \
+            parse_outcome(graph_module._read_graph_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n0 1\n1 2", "3 2\r\n\r\n0 1\r\n1 2\r\n", "1 0", " 4 1 \n\t2  3\n",
+        "3 2\x0c0 1\x1c1 2\u2028", "+3 0_2\n00 1\n1 2\n",
+        serialize_graph(families.random_tree(random.Random(3), 1000)),
+        serialize_graph(families.random_graph(random.Random(4), 60, 0.3)),
+    ])
+    def test_well_formed_text_never_reaches_the_line_reader(self, text):
+        expected = graph_module._read_graph_lines(text)
+        with mock.patch.object(graph_module, "_read_graph_lines",
+                               side_effect=AssertionError("line reader ran")):
+            g = parse_graph(text)
+        assert (g, g.us, g.vs) == (expected, expected.us, expected.vs)
+
+    @pytest.mark.parametrize("text", [
+        "0 0\n", "-1 0\n", "3 -1\n", "3 1\n", "3 1\n0 1\n1 2\n", "3 1\n0 1\n0 1\n",
+        "3 1\n1 0\n", "3 1\n1 1\n", "3 1\n-1 2\n", "3 1\n0 3\n", "3 2\n0 1\n0 1\n",
+        "3 1\n0 1 2\n", "3 1\n0 x\n", "3 1\n0\n1\n", "\n\n", "3\n",
+    ])
+    def test_each_fault_falls_back_to_the_line_reader(self, text):
+        # One fault in an otherwise well-formed file: the bulk read must
+        # reject it, so the error is the line reader's.
+        with pytest.raises(GraphFormatError) as expected:
+            graph_module._read_graph_lines(text)
+        with pytest.raises(GraphFormatError) as got:
+            parse_graph(text)
+        assert (got.value.line_no, str(got.value)) == \
+            (expected.value.line_no, str(expected.value))
+
+    def test_edges_keep_the_file_order(self):
+        g = parse_graph("4 3\n2 3\n0 1\n1 3\n")
+        assert (g.us, g.vs) == ((2, 0, 1), (3, 1, 3))
+        assert list(g.edges()) == [(0, 1), (1, 3), (2, 3)]
+        assert g == Graph.from_edges(4, [(1, 0), (3, 1), (2, 3)])
+
+
 class TestProperness:
     # `check_coloring` returns None on a proper coloring and raises
     # ImproperInput when some edge is monochromatic.
@@ -170,6 +324,51 @@ class TestProperness:
         else:
             with pytest.raises(ImproperInput):
                 check_coloring(g, c, "c", 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_improper_start_names_the_lowest_edge(rnd):
+    # Edges given in shuffled order, and to `from_edges` in either
+    # orientation: the start check still names the lowest monochromatic edge
+    # in ascending (u, v) order, and `check_coloring` raises for every
+    # improper coloring, whichever way the graph was built.
+    n = rnd.randint(2, 9)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.5]
+    rnd.shuffle(pairs)
+    text = f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    built = Graph.from_edges(n, [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs])
+    colors = tuple(rnd.randint(1, 3) for _ in range(n))
+    start = Coloring(colors, 3)
+    lowest = min(((u, v) for u, v in pairs if colors[u] == colors[v]), default=None)
+    for g in (parse_graph(text), built):
+        if lowest is None:
+            assert verify_sequence(g, RecoloringSequence(start, (), ())) == start
+            assert check_coloring(g, start, "c", 3) is None
+            continue
+        with pytest.raises(SequenceViolation) as info:
+            verify_sequence(g, RecoloringSequence(start, (), ()))
+        assert info.value.step_index == -1
+        assert str(info.value) == f"step -1: initial coloring improper on edge {lowest}"
+        with pytest.raises(ImproperInput, match="^c is not a proper coloring$"):
+            check_coloring(g, start, "c", 3)
+
+
+def test_verify_exits_5_on_an_improper_start(tmp_path, capsys):
+    # The graph file lists its edges out of order; the from coloring is
+    # improper on (1, 2) and (3, 4).
+    paths = {}
+    for name, text in (("g", "5 4\n3 4\n0 1\n2 3\n1 2\n"), ("from", "1 2 2 1 1\n"),
+                       ("seq", "")):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    g = parse_graph(paths["g"].read_text())
+    start = parse_coloring(paths["from"].read_text(), g.n, 3)
+    with pytest.raises(SequenceViolation, match=r"improper on edge \(1, 2\)$"):
+        verify_sequence(g, RecoloringSequence(start, (), ()))
+    assert main(["verify", str(paths["g"]), str(paths["from"]), str(paths["seq"]),
+                 "-k", "3"]) == 5
+    assert capsys.readouterr().err == "error: from is not a proper coloring\n"
 
 
 class TestDegeneracy:

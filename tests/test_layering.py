@@ -135,6 +135,74 @@ class TestBuildPartition:
             assert p.t <= formula
 
 
+def peel_scan(g, params):
+    """Reference: the peeling `build_degree_partition` replaced, which
+    recounts every candidate's residual degree in every round."""
+    active = set(range(g.n))
+    layers = []
+    while active:
+        layer = []
+        blocked = set()
+        for v in sorted(active):
+            if v in blocked:
+                continue
+            residual_degree = sum(1 for w in g.adjacency[v] if w in active)
+            if residual_degree <= params.d - 1:
+                layer.append(v)
+                blocked.update(g.adjacency[v])
+        need = params.threshold(len(active))
+        if len(layer) < need:
+            raise SizeGuaranteeViolated(len(layer), need, len(active), len(layers) + 1)
+        layers.append(tuple(layer))
+        active.difference_update(layer)
+    return DegreePartition(s=params.d - 1, layers=tuple(layers))
+
+
+def peel_outcome(peel, g, params):
+    """The partition, or the fields of the SizeGuaranteeViolated raised."""
+    try:
+        return peel(g, params)
+    except SizeGuaranteeViolated as exc:
+        return exc.achieved, exc.threshold, exc.residual_size, exc.round_index, str(exc)
+
+
+class TestRunningResidualDegrees:
+    # Peeling with running residual counts must build the layers, and raise
+    # the errors, of the per-round rescan.
+    PARAMS = [SpecialISParams(d, eps) for d in (1, 2, 3, 4)
+              for eps in (Fraction(1, 4), HALF, Fraction(3, 4))]
+
+    def test_agrees_with_the_rescan_on_the_families(self):
+        rng = random.Random(2024)
+        cases = [families.petersen_graph(), families.two_edge_matching(),
+                 families.star_graph(6), families.cycle_graph(9), families.empty_graph(4)]
+        cases += [families.path_graph(n) for n in (1, 2, 5, 40)]
+        cases += [families.random_tree(rng, rng.randint(2, 300)) for _ in range(20)]
+        cases += [families.random_forest(rng, rng.randint(1, 200)) for _ in range(20)]
+        cases += [families.random_unicyclic(rng, rng.randint(3, 200)) for _ in range(20)]
+        cases += [families.random_theta(rng, rng.randint(5, 200)) for _ in range(20)]
+        built = 0
+        for g in cases:
+            for params in self.PARAMS:
+                got = peel_outcome(build_degree_partition, g, params)
+                assert got == peel_outcome(peel_scan, g, params)
+                built += isinstance(got, DegreePartition)
+        assert built > len(cases) * len(self.PARAMS) // 2
+
+    def test_same_violation_on_graphs_denser_than_d_minus_epsilon(self):
+        rng = random.Random(77)
+        cases = [families.complete_graph(n) for n in range(2, 9)]
+        cases += [families.random_graph(rng, rng.randint(6, 60), rng.uniform(0.2, 0.9))
+                  for _ in range(40)]
+        raised = 0
+        for g in cases:
+            for params in self.PARAMS:
+                got = peel_outcome(build_degree_partition, g, params)
+                assert got == peel_outcome(peel_scan, g, params)
+                raised += not isinstance(got, DegreePartition)
+        assert raised > len(cases) * len(self.PARAMS) // 2
+
+
 class TestDegeneracyFallback:
     def test_path(self):
         p3 = families.path_graph(3)
