@@ -3,6 +3,7 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -219,6 +220,108 @@ def test_recolor_unwritable_output(files, tmp_path, capsys, flag):
     assert err.startswith("error: cannot write ")
     assert len(err.splitlines()) == 1
     assert not path.parent.exists()
+
+
+def _recolor_p3(files, *outputs):
+    return main(["recolor", files("p3.txt", P3), files("from.txt", "1 2 1\n"),
+                 files("to.txt", "2 1 2\n"), "-k", "3", "-d", "2", "--epsilon", "1/2",
+                 *outputs])
+
+
+def test_rewritten_outputs_keep_no_stale_tail(files, tmp_path, capsys):
+    # Outputs are rewritten in place: a longer file already at each path
+    # must end up byte for byte what a write to a fresh path gives.
+    paths = {flag: tmp_path / name for flag, name in
+             [("--out", "seq.txt"), ("--stats", "stats.json"), ("--report", "report.json")]}
+    argv = [arg for flag, path in paths.items() for arg in (flag, str(path))]
+    assert _recolor_p3(files, *argv) == 0
+    fresh = {flag: path.read_bytes() for flag, path in paths.items()}
+    for flag, path in paths.items():
+        path.write_bytes(b"junk " * (len(fresh[flag]) + 50))
+    assert _recolor_p3(files, *argv) == 0
+    assert {flag: path.read_bytes() for flag, path in paths.items()} == fresh
+    assert capsys.readouterr().out == "4\n4\n"
+
+
+def test_outputs_to_a_device_that_cannot_be_cut(files, capsys):
+    assert _recolor_p3(files, "--out", os.devnull, "--stats", os.devnull,
+                       "--report", os.devnull) == 0
+    assert capsys.readouterr() == ("4\n", "")
+
+
+def test_output_to_a_pipe(files, tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    assert _recolor_p3(files, "--out", str(seq)) == 0
+    read_end, write_end = os.pipe()
+    try:
+        assert _recolor_p3(files, "--out", f"/dev/fd/{write_end}") == 0
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        assert pipe.read() == seq.read_bytes() != b""
+
+
+def test_directory_as_output(files, tmp_path, capsys):
+    assert _recolor_p3(files, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write sequence file ")
+    assert len(err.splitlines()) == 1
+
+
+def test_outputs_are_never_opened_with_truncation(files, tmp_path, capsys, monkeypatch):
+    # Truncating a file that holds data and rewriting it makes ext4 start
+    # writeback at close; every output open must leave O_TRUNC out, on a
+    # fresh path and on one that already holds a file.
+    real_open, opened = os.open, []
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+    monkeypatch.setattr(os, "open", recording_open)
+    outputs = [str(tmp_path / name) for name in ("seq.txt", "stats.json", "report.json")]
+    argv = [arg for flag, path in zip(["--out", "--stats", "--report"], outputs)
+            for arg in (flag, path)]
+    for _ in range(2):
+        opened.clear()
+        assert _recolor_p3(files, *argv) == 0
+        assert sorted(path for path, _ in opened) == sorted(outputs)
+        assert not [path for path, flags in opened if flags & os.O_TRUNC]
+
+
+def test_an_interrupt_during_a_rewrite_lands_after_the_cut(files, tmp_path, monkeypatch):
+    # A SIGINT that arrives while an output is rewritten is held back until
+    # the file is cut: the interrupt still comes, and the file is whole,
+    # not the new steps followed by the old file's well-formed tail.
+    seq = tmp_path / "seq.txt"
+    assert _recolor_p3(files, "--out", str(seq)) == 0
+    fresh = seq.read_bytes()
+    seq.write_bytes(b"0 3\n" * 100)
+
+    class InterruptedWrite:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def fileno(self):
+            return self.f.fileno()
+
+        def truncate(self):
+            return self.f.truncate()
+
+        def write(self, data):
+            signal.raise_signal(signal.SIGINT)
+            return self.f.write(data)
+    real_open = open
+    monkeypatch.setattr(cli, "open", lambda *args: InterruptedWrite(real_open(*args)),
+                        raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        _recolor_p3(files, "--out", str(seq))
+    assert seq.read_bytes() == fresh
 
 
 def test_verify_detects_corruption(files, tmp_path, capsys):
