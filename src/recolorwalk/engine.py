@@ -24,20 +24,24 @@ Each elimination round slices its mask by layer, so masks must stay in
 embedded order: `_promote` returns the vertices it leaves in mask order, and
 that list is the next mask.
 
-A walk stays flat from construction to every replay: each side records two
-int lists, a record being a vertex and the color it left, and a
+A walk stays flat from construction to every replay: each side records
+flat int lists, a record being a vertex and the color it left (and, for
+compaction, the vertex's record before it), and a
 `RecoloringSequence` holds the vertices and new colors as two tuples; the
 new colors are read back from the records when the walk is assembled.
 `recolorwalk verify` parses a sequence file into the same form. No per-step
 object is built unless a caller asks for `RecoloringSequence.steps`.
 
 Records are compacted as they are made (`_WalkState`): a vertex's move
-merges into its previous record while no neighbor has moved since, and a
-move back to the color that record left drops it. The construction, its
-colorings and `walk_bound` are unchanged; only what the walk records is
-shorter. `recolor_between` joins the alpha side's steps to the beta side's
-records reversed, each restoring the color it left, and records that walk
-once more with the same rule, which merges across the seam.
+merges into its latest live record unless a neighbor's latest live record
+is later, and a move back to the color that record left drops it, after
+which the vertex's earlier live record takes its next move. The
+construction, its colorings and `walk_bound` are unchanged; only what the
+walk records is shorter. `recolor_between` joins the alpha side's steps to
+the beta side's records reversed, each restoring the color it left, and
+records that walk once more with the same rule, which merges across the
+seam; a walk so recorded is a fixpoint of the rule, so no further pass
+would shorten it.
 """
 
 from __future__ import annotations
@@ -142,20 +146,32 @@ class _WalkState:
     Record i moves `vertices[i]` off color `left[i]`; `walk` reads its new
     color back, and replayed in reverse it restores `left[i]`.
 
-    Records are compacted as they are made. `last[v]` is the record a move of
-    v may merge into (-1 for none). Every appended record of v clears
-    `last[w]` for each neighbor w, so while `last[v] >= 0` no neighbor has
-    moved since that record began: at that time every neighbor held its
-    current color, so the merged move could have been made there. A move back
-    to the record's `left` cancels it (vertex -1, dropped from the walk); any
-    other move merges and only changes `colors`. Merges and cancels need no
-    neighbor pass: while `last[v] >= 0` every neighbor's `last` is -1, cleared
-    when v's record began and not set since, as setting it would have cleared
-    `last[v]`.
+    Records are compacted as they are made, against live records only.
+    `last[v]` is v's latest live record (-1 for none) and `prev[i]` the live
+    record of the same vertex that record i succeeded (-1 for none). A move
+    of v merges into r = `last[v]` unless some neighbor's latest live record
+    is later than r; otherwise it appends a record and touches no neighbor.
+    A merge back to `left[r]` cancels r (vertex -1, dropped from the walk)
+    and sets `last[v] = prev[r]`, so v's earlier record can take its next
+    move; any other merge only changes `colors`. In the walk of live records:
+    - A merge into r is proper. No neighbor has a live record after r, so
+      from r on every neighbor holds the color it holds now, and the current
+      coloring is proper. A cancel leaves v on `left[r]` beside those same
+      colors.
+    - A record's new color is still the color its vertex's next live record
+      left, or the vertex's current color: a merge changes only the latest
+      record's new color, and a cancel puts v back on `left[r]`, the new
+      color of `prev[r]`.
+    - Between two live records of a vertex some neighbor's live record
+      stays: it blocked the merge when the later record began, and it cannot
+      be cancelled while that later record lives. So re-recording an emitted
+      walk returns it unchanged.
+    - A merge or cancel adds no record, so a vertex's emitted count is at
+      most the construction's move count and `walk_bound` still holds.
     """
 
     __slots__ = ("adjacency", "layer_of", "order", "trace", "colors",
-                 "vertices", "left", "last")
+                 "vertices", "left", "prev", "last")
 
     def __init__(self, g: Graph, ord_: EmbeddedOrdering, start: Coloring,
                  trace: EliminationTrace | None):
@@ -166,20 +182,26 @@ class _WalkState:
         self.colors = list(start.colors)
         self.vertices: list[int] = []
         self.left: list[int] = []
+        self.prev: list[int] = []
         self.last = [-1] * g.n
 
     def recolor(self, v: int, color: int) -> None:
-        r = self.last[v]
-        if r < 0:
-            self.last[v] = len(self.vertices)
-            self.vertices.append(v)
-            self.left.append(self.colors[v])
-            last = self.last
+        last = self.last
+        r = last[v]
+        if r >= 0:
             for w in self.adjacency[v]:
-                last[w] = -1
-        elif color == self.left[r]:
-            self.vertices[r] = -1
-            self.last[v] = -1
+                if last[w] > r:
+                    break
+            else:
+                if color == self.left[r]:
+                    self.vertices[r] = -1
+                    last[v] = self.prev[r]
+                self.colors[v] = color
+                return
+        last[v] = len(self.vertices)
+        self.vertices.append(v)
+        self.left.append(self.colors[v])
+        self.prev.append(r)
         self.colors[v] = color
 
     def walk(self, initial: Coloring) -> RecoloringSequence:
@@ -207,7 +229,7 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     rest = []
     colors = state.colors
     adjacency = state.adjacency
-    vertices, left, last = state.vertices, state.left, state.last
+    vertices, left, prev, last = state.vertices, state.left, state.prev, state.last
     for v in reversed(mask):
         old = colors[v]
         if old == target:
@@ -217,17 +239,21 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
                 rest.append(v)
                 break
         else:
-            r = last[v]
-            if r < 0:
-                last[v] = len(vertices)
-                vertices.append(v)
-                left.append(old)
-                for w in adjacency[v]:
-                    last[w] = -1
-            elif target == left[r]:
-                vertices[r] = -1
-                last[v] = -1
             colors[v] = target
+            r = last[v]
+            if r >= 0:
+                for w in adjacency[v]:
+                    if last[w] > r:
+                        break
+                else:
+                    if target == left[r]:
+                        vertices[r] = -1
+                        last[v] = prev[r]
+                    continue
+            last[v] = len(vertices)
+            vertices.append(v)
+            left.append(old)
+            prev.append(r)
     rest.reverse()
     return rest
 
@@ -456,9 +482,10 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     beta side's records reversed, each restoring the color it left, is then
     recorded once more by a fresh side, whose merge rule also merges moves
     across the seam. So the emitted walk is not the construction's moves
-    verbatim: a vertex's consecutive moves with no neighbor move between them
-    become one step, or none when they return it to its earlier color. Equal
-    endpoints give the empty walk.
+    verbatim: a vertex's consecutive moves with no kept neighbor step between
+    them become one step, or none when they return it to its earlier color,
+    and the emitted walk is unchanged when recorded again. Equal endpoints
+    give the empty walk.
     """
     _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
     if k < p.s + 2:
@@ -469,16 +496,19 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     ord_ = embedded_ordering(p)
     a_state = _WalkState(g, ord_, alpha, trace)
     b_state = _WalkState(g, ord_, beta, trace)
-    for state in (a_state, b_state):
-        _reduce(state, p.s + 2)
+    _reduce(a_state, p.s + 2)
+    _reduce(b_state, p.s + 2)
     _between(a_state, b_state, ord_.order, frozenset(range(1, p.s + 3)))
+    # Each side is freed once the join no longer reads it: the records kept
+    # for compaction would otherwise raise the call's peak.
     a_walk = a_state.walk(alpha)
+    del a_state
     joined = _WalkState(g, ord_, alpha, None)
     for v, c in chain(zip(a_walk.vertices, a_walk.new_colors),
                       zip(reversed(b_state.vertices), reversed(b_state.left))):
         if v >= 0:
             joined.recolor(v, c)
-    del a_walk  # freed before the joined walk is assembled, where the call peaks
+    del a_walk, b_state
     return _checked_walk(g, joined.walk(alpha),
                          lambda colors: colors == beta.colors, "beta")
 

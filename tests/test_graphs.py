@@ -255,8 +255,11 @@ class TestBulkParse:
     @pytest.mark.parametrize("text", [
         "3 2\n0 1\n1 2", "3 2\r\n\r\n0 1\r\n1 2\r\n", "1 0", " 4 1 \n\t2  3\n",
         "3 2\x0c0 1\x1c1 2\u2028", "+3 0_2\n00 1\n1 2\n",
-        serialize_graph(families.random_tree(random.Random(3), 1000)),
-        serialize_graph(families.random_graph(random.Random(4), 60, 0.3)),
+        # Explicit ids: a test id taken from a whole graph text runs to KBs.
+        pytest.param(serialize_graph(families.random_tree(random.Random(3), 1000)),
+                     id="tree-1000"),
+        pytest.param(serialize_graph(families.random_graph(random.Random(4), 60, 0.3)),
+                     id="gnp-60"),
     ])
     def test_well_formed_text_never_reaches_the_line_reader(self, text):
         expected = graph_module._read_graph_lines(text)

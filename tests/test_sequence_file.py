@@ -98,18 +98,18 @@ def test_fault_in_the_last_of_several_slices():
 
 
 def test_parse_peak_bytes_per_step():
-    # The seeded 12,637-step walk of test_walk_peak_bytes_per_step, read
+    # The seeded 9,948-step walk of test_walk_peak_bytes_per_step, read
     # back from its sequence file: the parse peaks at most at 80 traced bytes
-    # per step (59.7 here). The 1000-vertex tree of the same seed walks only
-    # 3,544 steps, so short a text that the parse's fixed overhead dominates
-    # (87 B/step).
+    # per step (64.2 here). The 1000-vertex tree of the same seed walks only
+    # 2,856 steps, so short a text that the parse's fixed overhead dominates
+    # (108 B/step).
     rng = random.Random(1000)
     g = families.random_tree(rng, 3000)
     p = build_degree_partition(g, SpecialISParams(3, Fraction(1, 2)))
     alpha = families.random_proper_coloring(rng, g, 4)
     beta = families.random_proper_coloring(rng, g, 4)
     seq = recolor_between(g, p, alpha, beta, 4)
-    assert len(seq.vertices) == 12_637
+    assert len(seq.vertices) == 9_948
     text = "".join(f"{v} {c}\n" for v, c in zip(seq.vertices, seq.new_colors))
     gc.collect()
     tracemalloc.start()
