@@ -22,7 +22,8 @@ per-vertex reading runs only once a bulk check has failed, to name the
 first bad line or vertex.
 
 networkx, used for the minimum cut in `mad_exact`, is imported only when
-exact mad runs, not when this module loads.
+exact mad meets a graph with a cycle, not when this module loads: a forest's
+exact mad needs no cut.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _densest_cut(g: Graph, guess: Fraction) -> Fraction | None:
     drops below n*m exactly when a denser-than-guess subgraph exists, and
     the cut's source side is such a subgraph.
     """
-    import networkx as nx  # here, not at load: only exact mad pays for it
+    import networkx as nx  # here, not at load: only a cut pays for it
 
     p, q = guess.numerator, guess.denominator
     net = nx.DiGraph()
@@ -312,16 +313,57 @@ def _densest_cut(g: Graph, guess: Fraction) -> Fraction | None:
 
 
 def mad_exact(g: Graph) -> Fraction:
-    """Exact maximum average degree by Dinkelbach iteration on edge density.
+    """Exact maximum average degree: a forest's from its largest tree, any
+    other graph's by Dinkelbach iteration on the edge density of its 2-core.
 
-    Starts at the whole graph's density m/n and moves to the density of the
-    denser subgraph the minimum cut exposes until there is none. Each move
-    raises the density strictly through the finitely many values e/v with
-    v <= n, so it stops at the maximum edge density, half the answer.
+    Vertices of degree <= 1 are peeled first, repeatedly, with running
+    degrees, in O(n + m); what is left is the 2-core. A densest subgraph
+    lies inside it:
+
+    * If the 2-core is empty the graph is a forest. A subforest on v
+      vertices has at most v - 1 edges, so its density is at most
+      (v - 1)/v, which grows with v and which a whole tree reaches; the
+      densest subgraph is the largest tree, and the answer is 2(c - 1)/c
+      for its size c. No cut is made.
+    * Otherwise the 2-core has density e/v >= 1, since each of its vertices
+      has degree >= 2 in it, so a densest subgraph H has density >= 1.
+      Removing a vertex of degree <= 1 from a subgraph on v vertices with
+      e >= v edges leaves density at least (e - 1)/(v - 1), which is >= e/v
+      exactly when e >= v. Peeling H in the graph's own order, each peeled
+      vertex of H has degree <= 1 in what is left of H, so the density
+      never falls and H's part in the 2-core is a densest subgraph too.
+
+    The 2-core is relabeled in ascending vertex order, which keeps u < v on
+    every edge. The iteration starts at its density and moves to the
+    density of the denser subgraph the minimum cut exposes until there is
+    none. Each move raises the density strictly through the finitely many
+    values e/v with v <= n, so it stops at the maximum edge density, half
+    the answer.
     """
-    if g.m == 0:
-        return Fraction(0)
-    density = Fraction(g.m, g.n)
-    while (denser := _densest_cut(g, density)) is not None:
+    adjacency = g.adjacency
+    degree = list(map(len, adjacency))
+    # size[v]: v and the vertices peeled into it; in a forest the largest
+    # is the size of its largest tree.
+    size = [1] * g.n
+    peeled = [False] * g.n
+    # A vertex is pushed once: at the start, or when its degree falls to 1.
+    stack = [v for v, d in enumerate(degree) if d <= 1]
+    while stack:
+        v = stack.pop()
+        peeled[v] = True
+        if degree[v]:  # one neighbor left, the one v hangs from
+            w = next(w for w in adjacency[v] if not peeled[w])
+            size[w] += size[v]
+            degree[w] -= 1
+            if degree[w] == 1:
+                stack.append(w)
+    if all(peeled):
+        c = max(size)
+        return Fraction(2 * (c - 1), c)
+    index = {v: i for i, v in enumerate(v for v in range(g.n) if not peeled[v])}
+    kept = [(index[u], index[v]) for u, v in zip(g.us, g.vs) if u in index and v in index]
+    core = _graph(len(index), [u for u, _ in kept], [v for _, v in kept])
+    density = Fraction(core.m, core.n)
+    while (denser := _densest_cut(core, density)) is not None:
         density = denser
     return 2 * density

@@ -604,6 +604,24 @@ def test_networkx_loads_only_where_exact_mad_runs(files, tmp_path):
     assert exact == cheap[-1][2] == "3/1"
 
 
+def test_exact_mad_on_a_forest_leaves_networkx_unloaded(files, tmp_path):
+    # A path is a forest: exact mad reads its largest tree and makes no cut.
+    graph = files("p5.txt", "5 4\n0 1\n1 2\n2 3\n3 4\n")
+    frm, to = files("from.txt", "1 2 3 4 1\n"), files("to.txt", "2 3 4 5 1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, graph, frm, to, str(tmp_path / "seq.txt")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["import"] is False
+    assert [(name, code, loaded) for name, code, _, loaded in record["runs"]] == [
+        (name, 0, False) for name in ("partition", "recolor", "verify", "oracle", "mad", "mad")]
+    assert record["runs"][-1][2] == record["runs"][-2][2] == "8/5"
+
+
 def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch):
     # The shell transcript under the README's "Examples:" runs as written:
     # each `printf ... > file` writes its file, and each `recolorwalk` line

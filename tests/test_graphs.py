@@ -457,6 +457,74 @@ class TestMad:
             assert mad_exact(g) == mad_brute(g)
             checked += 1
 
+    # Named graphs: forests, whose largest tree decides, and graphs whose
+    # densest part is their 2-core or lies inside it.
+    NAMED = {
+        "P3 and P5": (8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)], Fraction(8, 5)),
+        "edge and isolated vertices": (4, [(1, 2)], 1),
+        "star": (6, [(0, v) for v in range(1, 6)], Fraction(5, 3)),
+        "K4 with a pendant path": (
+            7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)], 3),
+        "triangle and K4": (
+            7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)], 3),
+        # Hubs 0 and 1 joined by 0-2-1, 0-3-4-1 and 0-5-1, with trees hung
+        # from 2 and 4; the theta alone is densest.
+        "theta with pendant trees": (
+            10, [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4), (0, 5), (1, 5),
+                 (2, 6), (6, 7), (6, 8), (4, 9)], Fraction(7, 3)),
+    }
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_exact_agrees_with_brute_on_named_graphs(self, name):
+        n, edges, mad = self.NAMED[name]
+        g = Graph.from_edges(n, edges)
+        assert mad_exact(g) == mad_brute(g) == mad
+
+    def test_exact_agrees_with_brute_on_trees_with_extra_edges(self):
+        # Random trees with 0-3 extra edges and a pendant chain: forests,
+        # cores with pendant trees and pure cores, which uniform-p graphs
+        # rarely give.
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            edges = set(families.random_tree(rng, n).edges())
+            for _ in range(rng.randint(0, 3) if n > 1 else 0):
+                edges.add(tuple(sorted(rng.sample(range(n), 2))))
+            chain = rng.randint(0, 3)
+            edges.update((rng.randrange(n) if v == n else v - 1, v) for v in range(n, n + chain))
+            g = Graph.from_edges(n + chain, edges)
+            assert mad_exact(g) == mad_brute(g)
+
+    @pytest.fixture
+    def min_cuts(self, monkeypatch):
+        # The networkx.minimum_cut calls made so far, counted the way the
+        # benchmark counts them.
+        import networkx
+        calls = []
+        minimum_cut = networkx.minimum_cut
+
+        def counted_minimum_cut(*args, **kwargs):
+            calls.append(args)
+            return minimum_cut(*args, **kwargs)
+
+        monkeypatch.setattr(networkx, "minimum_cut", counted_minimum_cut)
+        return calls
+
+    @pytest.mark.parametrize("name, cuts", [
+        ("P3 and P5", 0), ("edge and isolated vertices", 0), ("star", 0),
+        ("K4 with a pendant path", 1), ("theta with pendant trees", 1)])
+    def test_min_cuts_run_on_the_2_core_only(self, min_cuts, name, cuts):
+        # A forest needs no cut. A graph whose 2-core is its densest part
+        # needs one, the cut that finds nothing denser than the core.
+        n, edges, mad = self.NAMED[name]
+        assert mad_exact(Graph.from_edges(n, edges)) == mad
+        assert len(min_cuts) == cuts
+
+    def test_large_tree_makes_no_cut(self, min_cuts):
+        g = families.random_tree(random.Random(1000), 10_000)
+        assert mad_exact(g) == Fraction(9_999, 5_000)
+        assert min_cuts == []
+
     def test_degeneracy_density_band(self):
         rng = random.Random(99)
         for _ in range(60):
