@@ -37,11 +37,10 @@ merges into its latest live record unless a neighbor's latest live record
 is later, and a move back to the color that record left drops it, after
 which the vertex's earlier live record takes its next move. The
 construction, its colorings and `walk_bound` are unchanged; only what the
-walk records is shorter. `recolor_between` joins the alpha side's steps to
-the beta side's records reversed, each restoring the color it left, and
-records that walk once more with the same rule, which merges across the
-seam; a walk so recorded is a fixpoint of the rule, so no further pass
-would shorten it.
+walk records is shorter. `recolor_between` replays the beta side's records
+reversed, each restoring the color it left, into the alpha side itself, so
+the same rule merges across the seam; a walk so recorded is a fixpoint of
+the rule, so no further pass would shorten it.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import eq
 from typing import Callable, Sequence
 
@@ -478,14 +476,18 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     Both sides are first reduced to s+2 colors, then recursively driven to a
     common coloring (purge top color, promote toward it, recurse on the rest
     with one color fewer). Each side records its moves compacted (see
-    `_WalkState`). The joined walk, the alpha side's steps followed by the
-    beta side's records reversed, each restoring the color it left, is then
-    recorded once more by a fresh side, whose merge rule also merges moves
-    across the seam. So the emitted walk is not the construction's moves
-    verbatim: a vertex's consecutive moves with no kept neighbor step between
-    them become one step, or none when they return it to its earlier color,
-    and the emitted walk is unchanged when recorded again. Equal endpoints
-    give the empty walk.
+    `_WalkState`). The beta side's records are then replayed reversed, each
+    restoring the color it left, into the alpha side, whose merge rule also
+    merges moves across the seam. This is the walk a fresh recording of the
+    alpha side's walk followed by that replay would give: the alpha side's
+    live records are in the order of its walk, that walk is a fixpoint of
+    the rule, and every `last` and `prev` entry of a live record points at
+    a live record, so every merge and cancel goes the same way. So the
+    emitted walk is not the construction's moves verbatim: a vertex's
+    consecutive moves with no kept neighbor step between them become one
+    step, or none when they return it to its earlier color, and the emitted
+    walk is unchanged when recorded again. Equal endpoints give the empty
+    walk.
     """
     _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
     if k < p.s + 2:
@@ -499,17 +501,13 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     _reduce(a_state, p.s + 2)
     _reduce(b_state, p.s + 2)
     _between(a_state, b_state, ord_.order, frozenset(range(1, p.s + 3)))
-    # Each side is freed once the join no longer reads it: the records kept
-    # for compaction would otherwise raise the call's peak.
-    a_walk = a_state.walk(alpha)
-    del a_state
-    joined = _WalkState(g, ord_, alpha, None)
-    for v, c in chain(zip(a_walk.vertices, a_walk.new_colors),
-                      zip(reversed(b_state.vertices), reversed(b_state.left))):
+    for v, c in zip(reversed(b_state.vertices), reversed(b_state.left)):
         if v >= 0:
-            joined.recolor(v, c)
-    del a_walk, b_state
-    return _checked_walk(g, joined.walk(alpha),
+            a_state.recolor(v, c)
+    # The beta side is freed once the join has read it: the records kept for
+    # compaction would otherwise raise the call's peak.
+    del b_state
+    return _checked_walk(g, a_state.walk(alpha),
                          lambda colors: colors == beta.colors, "beta")
 
 

@@ -313,8 +313,9 @@ def _densest_cut(g: Graph, guess: Fraction) -> Fraction | None:
 
 
 def mad_exact(g: Graph) -> Fraction:
-    """Exact maximum average degree: a forest's from its largest tree, any
-    other graph's by Dinkelbach iteration on the edge density of its 2-core.
+    """Exact maximum average degree: a forest's from its largest tree, 2
+    when the 2-core is a union of cycles, any other graph's by Dinkelbach
+    iteration on the edge density of its 2-core.
 
     Vertices of degree <= 1 are peeled first, repeatedly, with running
     degrees, in O(n + m); what is left is the 2-core. A densest subgraph
@@ -332,6 +333,11 @@ def mad_exact(g: Graph) -> Fraction:
       exactly when e >= v. Peeling H in the graph's own order, each peeled
       vertex of H has degree <= 1 in what is left of H, so the density
       never falls and H's part in the 2-core is a densest subgraph too.
+    * If the 2-core has as many edges as vertices, every core vertex has
+      degree exactly 2 in it (each has degree >= 2, and the degrees sum to
+      2e = 2v), so the core is a disjoint union of cycles. Every subgraph of
+      a cycle union has e <= v, so no density exceeds the core's own 1, and
+      the answer is 2. No cut is made.
 
     The 2-core is relabeled in ascending vertex order, which keeps u < v on
     every edge. The iteration starts at its density and moves to the
@@ -362,6 +368,8 @@ def mad_exact(g: Graph) -> Fraction:
         return Fraction(2 * (c - 1), c)
     index = {v: i for i, v in enumerate(v for v in range(g.n) if not peeled[v])}
     kept = [(index[u], index[v]) for u, v in zip(g.us, g.vs) if u in index and v in index]
+    if len(kept) == len(index):
+        return Fraction(2)
     core = _graph(len(index), [u for u, _ in kept], [v for _, v in kept])
     density = Fraction(core.m, core.n)
     while (denser := _densest_cut(core, density)) is not None:

@@ -1,20 +1,20 @@
 """Exhaustive ground truth over the space of proper colorings.
 
-States are encoded in base k with vertex 0 least significant; searches
-generate neighbors in ascending vertex order, then ascending color order, so
-every answer is deterministic. Both searches go level by level through one
-shared expansion that marks states in a byte per state. The distance search
-runs from both ends, one full level of the smaller frontier at a time, and
-stops at the first state the other end has marked: while the two sides'
-balls are disjoint the distance exceeds the sum of their radii, so marks
-alone give the exact answer. The diameter runs a one-sided search from every
-coloring. Everything here is desk-scale machinery guarded by a cap (default
-10^7) on k^n, charged for the work each search may scan: k^n x n (states x
-vertices) for the distance, colorings x k^n x n for the diameter.
+States are encoded in base k with vertex 0 least significant, and every
+search is deterministic. The distance runs two A* searches, one from each
+end, ordered by moves made plus vertices off the goal coloring (see
+`bfs_distance`); between near colorings they expand little more than the
+states of one shortest walk. The diameter runs a level-by-level search from
+every coloring, generating neighbors in ascending vertex, then color, order.
+Both mark states in a byte per state. Everything here is desk-scale
+machinery guarded by a cap (default 10^7) on k^n, charged for the work each
+search may scan: k^n x n (states x vertices) for the distance, colorings x
+k^n x n for the diameter.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 from .errors import StateSpaceTooLarge
@@ -76,11 +76,9 @@ def _proper_codes(g: Graph, k: int) -> Iterator[int]:
             stack.append((v + 1, code + (c - 1) * powers[v], 1))
 
 
-def _expand(g: Graph, k: int, frontier: list[int], marks: bytearray,
-            side: int) -> list[int] | None:
+def _expand(g: Graph, k: int, frontier: list[int], marks: bytearray) -> list[int]:
     """One BFS level: mark every unmarked neighbor of the `frontier` states
-    with `side` and return them, or None at the first neighbor another side
-    has marked."""
+    and return them."""
     n = g.n
     powers = [k ** v for v in range(n)]
     adjacency = g.adjacency
@@ -97,12 +95,9 @@ def _expand(g: Graph, k: int, frontier: list[int], marks: bytearray,
                 if c in blocked:
                     continue
                 neighbor = code + (c - current) * powers[v]
-                mark = marks[neighbor]
-                if not mark:
-                    marks[neighbor] = side
+                if not marks[neighbor]:
+                    marks[neighbor] = 1
                     next_frontier.append(neighbor)
-                elif mark != side:
-                    return None
     return next_frontier
 
 
@@ -113,7 +108,7 @@ def _bfs_levels(g: Graph, k: int, start: int, total: int) -> tuple[int, int]:
     frontier = [start]
     reached = 1
     eccentricity = 0
-    while frontier := _expand(g, k, frontier, marks, 1):
+    while frontier := _expand(g, k, frontier, marks):
         reached += len(frontier)
         eccentricity += 1
     return reached, eccentricity
@@ -124,20 +119,37 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
     """Exact shortest walk length between two proper colorings, or None
     when they lie in different components.
 
-    The search runs from both ends. One byte per state marks alpha's side 1
-    and beta's side 2; each round expands the smaller frontier (alpha's on a
-    tie) by one full level, and the answer is the number of levels expanded
-    once a level reaches a state the other side has marked. Marks alone are
-    enough: while no state is marked by both sides, the distance exceeds
-    d_alpha + d_beta, so the first meeting is at d_alpha + d_beta + 1. An
-    empty frontier means the other end is unreachable.
+    Two A* searches run, alpha to beta and beta to alpha. Each orders its
+    states by f = moves made + vertices off that search's goal coloring. A
+    move recolors one vertex, so the estimate is a lower bound that changes
+    by at most 1 per move: a move onto the vertex's goal color keeps f, a
+    move between two other colors adds 1, and a move off the goal color adds
+    2. So each search keeps three open arrays, for f, f + 1 and f + 2, needs
+    no heap, and expands in nondecreasing f; a state's distance from the
+    search's start is final when it is expanded, and it is never expanded
+    again.
 
-    The search may scan every vertex of every state, so the cap bounds
+    The answer is f when the goal is generated. Only a move that keeps f,
+    from a state one vertex off the goal, generates it, so a walk of length
+    f exists. None is shorter: until then the first unexpanded state of a
+    shortest walk is open with f at most that walk's length, and no open f
+    is below the current one. A vertex's move onto its goal color is tried
+    before its other moves, so one vertex on a large palette is answered
+    without a scan of the palette.
+
+    One byte per state marks what each search has expanded, one bit per
+    search, and the open arrays hold codes rather than int objects. The
+    search with fewer open entries expands the next state (alpha's on a
+    tie), so an unreachable pair costs about its smaller component: a search
+    whose arrays run dry has exhausted its component, and the answer is None.
+
+    A search may scan every vertex of every state, so the cap bounds
     k^n x n: StateSpaceTooLarge when that product exceeds it.
     """
     total = _checked_total(g, k, cap)
-    if total * g.n > cap:
-        raise StateSpaceTooLarge(f"k^n x n = {k}^{g.n} x {g.n} states x vertices "
+    n = g.n
+    if total * n > cap:
+        raise StateSpaceTooLarge(f"k^n x n = {k}^{n} x {n} states x vertices "
                                  f"exceed the state cap {cap}")
     check_coloring(g, alpha, "alpha", k)
     check_coloring(g, beta, "beta", k)
@@ -145,20 +157,48 @@ def bfs_distance(g: Graph, k: int, alpha: Coloring, beta: Coloring,
     goal = _encode(beta.colors, k)
     if start == goal:
         return 0
+    powers = [k ** v for v in range(n)]
+    adjacency = g.adjacency
+    palette = range(1, k + 1)
     marks = bytearray(total)
-    marks[start] = 1
-    marks[goal] = 2
-    frontiers = {1: [start], 2: [goal]}
-    levels = 0
+    f = sum(a != b for a, b in zip(alpha.colors, beta.colors))
+    # Per search: its bit, goal colors, goal code, f, open arrays for f, f + 1, f + 2.
+    searches = [[1, beta.colors, goal, f, array("q", [start]), array("q"), array("q")],
+                [2, alpha.colors, start, f, array("q", [goal]), array("q"), array("q")]]
     while True:
-        side = 1 if len(frontiers[1]) <= len(frontiers[2]) else 2
-        frontier = _expand(g, k, frontiers[side], marks, side)
-        levels += 1
-        if frontier is None:
-            return levels
-        if not frontier:
-            return None
-        frontiers[side] = frontier
+        search = min(searches, key=lambda s: len(s[4]) + len(s[5]) + len(s[6]))
+        bit, want, target, f, now, later, latest = search
+        # Drop the entries of states this search has expanded since.
+        while now and marks[now[-1]] & bit:
+            now.pop()
+        if not now:
+            if not later and not latest:
+                return None
+            search[3:] = f + 1, later, latest, array("q")
+            continue
+        code = now.pop()
+        marks[code] |= bit
+        colors = _decode(code, n, k)
+        for v in range(n):
+            current, goal_color = colors[v], want[v]
+            # The colors v cannot take: its own and its neighbors'.
+            taken = {colors[w] for w in adjacency[v]}
+            taken.add(current)
+            # A move onto the goal color keeps f and comes first; the rest
+            # add 1, or 2 when they leave the goal color.
+            if goal_color not in taken:
+                neighbor = code + (goal_color - current) * powers[v]
+                if neighbor == target:
+                    return f
+                if not marks[neighbor] & bit:
+                    now.append(neighbor)
+                taken.add(goal_color)
+            append = (later if current != goal_color else latest).append
+            for c in palette:
+                if c not in taken:
+                    neighbor = code + (c - current) * powers[v]
+                    if not marks[neighbor] & bit:
+                        append(neighbor)
 
 
 def exact_diameter(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> int | None:

@@ -146,7 +146,7 @@ def enumerate_special_is(g: Graph, d: int) -> list[tuple[int, ...]]:
 def bfs_distance_one_sided(g: Graph, k: int, alpha: Coloring, beta: Coloring) -> int | None:
     """Exact distance by a level-by-level search from alpha alone, stopping
     at the level that reaches beta; None when beta is never reached. The
-    reference the oracle's two-sided `bfs_distance` must agree with."""
+    reference the oracle's A* `bfs_distance` must agree with."""
     powers = [k ** v for v in range(g.n)]
     start, goal = _encode(alpha.colors, k), _encode(beta.colors, k)
     if start == goal:

@@ -1009,9 +1009,10 @@ def test_walk_peak_bytes_per_step():
     # The walk is kept as flat int lists and tuples, with no object per
     # step, and compacted as it is built: one `recolor_between` on a
     # 3000-vertex tree makes 93,273 moves, emits 9,948 steps and peaks at
-    # 1.90 MB traced, 20 B per move, against a bound of 2.5 MB: each record
-    # keeps the vertex's record before it, and each side is freed once the
-    # join stops reading it (2.63 MB with both sides kept to the end; on the
+    # 1.99 MB traced, 21 B per move, against a bound of 2.5 MB: each record
+    # keeps the vertex's record before it, the beta side is replayed into
+    # the alpha side and freed once read (1.90 MB when a third side
+    # recorded the join, 2.63 MB with all sides kept to the end; on the
     # 1000-vertex tree of the same seed, 41 B per move when every move was
     # kept as a step and 159 with a frozen step object per step).
     rng = random.Random(1000)

@@ -472,6 +472,12 @@ class TestMad:
         "theta with pendant trees": (
             10, [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4), (0, 5), (1, 5),
                  (2, 6), (6, 7), (6, 8), (4, 9)], Fraction(7, 3)),
+        # 2-cores that are unions of cycles: every subgraph has e <= v.
+        "C3 and C4": (7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)], 2),
+        # A 5-cycle with a path hung from 0 and a star from 3.
+        "cycle with pendant trees": (
+            10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (5, 6),
+                 (3, 7), (7, 8), (7, 9)], 2),
     }
 
     @pytest.mark.parametrize("name", NAMED)
@@ -512,10 +518,12 @@ class TestMad:
 
     @pytest.mark.parametrize("name, cuts", [
         ("P3 and P5", 0), ("edge and isolated vertices", 0), ("star", 0),
-        ("K4 with a pendant path", 1), ("theta with pendant trees", 1)])
+        ("K4 with a pendant path", 1), ("theta with pendant trees", 1),
+        ("C3 and C4", 0), ("cycle with pendant trees", 0)])
     def test_min_cuts_run_on_the_2_core_only(self, min_cuts, name, cuts):
-        # A forest needs no cut. A graph whose 2-core is its densest part
-        # needs one, the cut that finds nothing denser than the core.
+        # A forest or a 2-core of cycles needs no cut. Any other graph whose
+        # 2-core is its densest part needs one, the cut that finds nothing
+        # denser than the core.
         n, edges, mad = self.NAMED[name]
         assert mad_exact(Graph.from_edges(n, edges)) == mad
         assert len(min_cuts) == cuts

@@ -17,6 +17,7 @@ from recolorwalk import (
     degeneracy_ordering,
     exact_diameter,
 )
+from recolorwalk import oracle
 from recolorwalk.cli import main
 from recolorwalk.oracle import _decode, _encode, _proper_codes
 
@@ -133,16 +134,47 @@ class TestDistance:
         (families.complete_graph(3), 3, (1, 2, 3), (2, 1, 3), None),
         (families.complete_graph(2), 2, (1, 2), (2, 1), None),
         # disconnected but not frozen: only the isolated vertex can move, so
-        # each side's frontier grows for a level before it empties
+        # each search expands its colors before its open arrays run dry
         (Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), 3, (1, 2, 3, 1), (2, 1, 3, 2), None),
-        # the two sides meet during the level beta's side expands
+        # every move is onto a goal color
         (families.empty_graph(2), 2, (1, 1), (2, 2), 2),
+        # a 9-cycle on 3 colors: the windings (color steps of +1 minus steps
+        # of -1, mod 3, around the cycle) are +3 and -3, and no move changes
+        # a winding
+        (families.cycle_graph(9), 3, (1, 2, 1, 2, 1, 2, 1, 2, 3), (1, 2, 1, 2, 1, 2, 1, 3, 2), None),
+        # one vertex on a large palette: one move, found before the palette
+        # is scanned
+        (families.empty_graph(1), 10 ** 5, (1,), (10 ** 5,), 1),
     ])
     def test_matches_the_one_sided_search_on_named_cases(self, g, k, alpha, beta, expected):
         alpha, beta = Coloring(alpha, k), Coloring(beta, k)
         assert families.bfs_distance_one_sided(g, k, alpha, beta) == expected
         assert bfs_distance(g, k, alpha, beta) == expected
         assert bfs_distance(g, k, beta, alpha) == expected
+
+    def test_edge_on_a_large_palette(self):
+        # Each vertex moves once, to the color the other leaves free. The
+        # one-sided reference would take seconds over the 4 * 10^6 states.
+        k = 2000
+        alpha, beta = Coloring((1, 2), k), Coloring((k, k - 1), k)
+        assert bfs_distance(families.complete_graph(2), k, alpha, beta) == 2
+        assert bfs_distance(families.complete_graph(2), k, beta, alpha) == 2
+
+    def test_unreachable_pair_costs_about_a_component(self, monkeypatch):
+        # Each coloring of the 9-cycle pair lies in a component of 252
+        # colorings. The two searches together may decode at most both
+        # components' worth: the first to run dry answers None.
+        decoded = []
+
+        def counted_decode(*args):
+            decoded.append(args[0])
+            return _decode(*args)
+
+        monkeypatch.setattr(oracle, "_decode", counted_decode)
+        alpha = Coloring((1, 2, 1, 2, 1, 2, 1, 2, 3), 3)
+        beta = Coloring((1, 2, 1, 2, 1, 2, 1, 3, 2), 3)
+        assert bfs_distance(families.cycle_graph(9), 3, alpha, beta) is None
+        assert 0 < len(decoded) <= 2 * 252
 
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False))
