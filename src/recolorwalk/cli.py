@@ -11,7 +11,7 @@ RECOLOR_STATE_CAP environment variable.
 This module owns the sequence-file format, one "vertex new_color" step per
 line in the line grammar stated in `graphs`: `_format_steps` writes it for
 `recolor --out` and `_parse_steps` reads it for `verify`, both in bulk, the
-reader in slices of about 16 KiB of whole lines.
+reader through `graphs.read_pairs`, which reads graph files too.
 
 Every output file (`--out`, `--stats`, `--report`) is written by
 `_write_output`, in place: a file that holds data is overwritten from its
@@ -31,7 +31,6 @@ import signal
 import stat
 import sys
 from fractions import Fraction
-from typing import NoReturn
 
 from .engine import (
     RecoloringSequence,
@@ -50,7 +49,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .graphs import (Coloring, check_coloring, content_lines, int_pair, mad_brute, mad_exact,
-                     parse_coloring, parse_graph, serialize_coloring)
+                     parse_coloring, parse_graph, read_pairs, serialize_coloring)
 from .layering import (
     SpecialISParams,
     build_degree_partition,
@@ -68,14 +67,6 @@ _EXIT_CODES = (
     (SequenceViolation, 7),
 )
 
-# Sequence files are read in slices of about this many characters, each
-# ending at a line end: large enough that the per-slice C loops dominate,
-# small enough that a slice's transient lines and tokens stay small next
-# to the walk being built. Compacted walks are short: on an 8,000-step walk
-# 64 KiB slices peaked at 106 traced bytes per step and 16 KiB ones at 65,
-# with parse times within 5 % of each other.
-_SLICE_CHARS = 1 << 14
-
 
 def _read_input(path: str, role: str, report: dict) -> str:
     try:
@@ -83,10 +74,11 @@ def _read_input(path: str, role: str, report: dict) -> str:
         # 4 us, against 11 us by pathlib's read_bytes (Xeon, 2 cores).
         with io.FileIO(path) as f:
             data = f.readall()
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {role} file {path}: {exc.strerror}") from None
-    report["inputs"][role] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
+        report["inputs"][role] = hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 at byte {exc.start}"
+        raise GraphFormatError(f"cannot read {role} file {path}: {why}") from None
 
 
 def _write_output(path: str, role: str, text: str) -> None:
@@ -150,43 +142,13 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_steps(text: str, alpha: Coloring) -> RecoloringSequence:
-    """Read a sequence file, one slice of whole lines at a time.
-
-    C loops split, check and convert each slice's lines all at once; the
-    line-by-line reading runs only once a slice has failed, to name the
-    first bad line.
-    """
-    vertices, new_colors = [], []
-    start = 0
-    while start < len(text):
-        # A slice ends just after a "\n", which ends a line under every
-        # splitlines() separator, so the slices' lines are the text's lines.
-        # find() gives -1, so end 0, when no "\n" is left: the rest is one slice.
-        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
-        piece = text[start:end]
-        if "#" in piece:
-            piece = "\n".join([line for line in piece.splitlines()
-                               if not line.lstrip().startswith("#")])
-        if not set(map(len, map(str.split, piece.splitlines()))) <= {0, 2}:
-            _raise_step_fault(text)
-        # Every line separator is whitespace to split(), so the slice's
-        # tokens are its lines' fields in order, two per step.
-        try:
-            values = list(map(int, piece.split()))
-        except ValueError:
-            _raise_step_fault(text)
-        vertices += values[0::2]
-        new_colors += values[1::2]
-        start = end
-    return RecoloringSequence(alpha, tuple(vertices), tuple(new_colors))
-
-
-def _raise_step_fault(text: str) -> NoReturn:
-    # The format read line by line: the reference `_parse_steps` must agree
-    # with, run only once a slice has failed, to raise at the first bad line.
-    for line_no, fields in content_lines(text):
-        int_pair(fields, line_no, "step 'vertex color'")
-    raise RuntimeError("a slice of the sequence file failed its bulk parse, but no line did")
+    """Read a sequence file in bulk with `read_pairs`; the line-by-line
+    reading runs only once that has failed, to name the first bad line."""
+    if (pairs := read_pairs(text)) is None:
+        for line_no, fields in content_lines(text):
+            int_pair(fields, line_no, "step 'vertex color'")
+        raise RuntimeError("the sequence file failed its bulk read, but no line did")
+    return RecoloringSequence(alpha, *map(tuple, pairs))
 
 
 def _format_steps(seq: RecoloringSequence, n: int) -> str:

@@ -62,6 +62,23 @@ def test_mad_missing_file(tmp_path, capsys):
     assert main(["mad", str(tmp_path / "nope.txt")]) == 2
 
 
+@pytest.mark.parametrize("role", ["graph", "from", "sequence"])
+def test_verify_names_the_input_that_is_not_utf8(tmp_path, capsys, role):
+    # verify reads three files: the error names the one that does not decode.
+    contents = {"graph": b"3 2\n0 1\n1 2\n", "from": b"1 2 1\n", "sequence": b"0 3\n"}
+    contents[role] = contents[role][:-1] + b" \xff\n"
+    paths = {}
+    for name, data in contents.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_bytes(data)
+    argv = ["verify", str(paths["graph"]), str(paths["from"]), str(paths["sequence"]),
+            "-k", "3"]
+    assert main(argv) == 2
+    offset = len(contents[role]) - 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {role} file {paths[role]}: not UTF-8 at byte {offset}"]
+
+
 def test_mad_brute_cap(files, capsys):
     big = "25 0\n"
     assert main(["mad", files("big.txt", big), "--mode", "brute"]) == 3

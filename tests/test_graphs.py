@@ -141,8 +141,9 @@ class TestParse:
 
 
 def reference_parse_coloring(text: str, n: int, k: int) -> Coloring:
-    # The per-vertex reader `parse_coloring` replaced, kept verbatim as the
-    # reference its results and errors must match.
+    # The per-vertex reader `parse_coloring` replaced, kept as the reference
+    # its results and errors must match; a bad token past 40 characters is
+    # echoed as its first 40 and its length.
     fields = text.split()
     if len(fields) != n:
         raise GraphFormatError(f"expected {n} colors, found {len(fields)}")
@@ -151,8 +152,10 @@ def reference_parse_coloring(text: str, n: int, k: int) -> Coloring:
         try:
             c = int(field)
         except ValueError:
+            shown = repr(field) if len(field) <= 40 else \
+                f"{field[:40]!r}... ({len(field)} characters)"
             raise GraphFormatError(
-                f"color for vertex {v} is not an integer: {field!r}") from None
+                f"color for vertex {v} is not an integer: {shown}") from None
         if not 1 <= c <= k:
             raise GraphFormatError(f"color {c} for vertex {v} outside 1..{k}")
         colors.append(c)
@@ -177,6 +180,20 @@ def test_parse_coloring_matches_the_per_vertex_reader(fields, space, k):
         coloring_outcome(reference_parse_coloring, text, len(fields), k)
 
 
+@pytest.mark.parametrize("token", ["1" * 5000, "x" * 41, "x" * 40],
+                         ids=["5000-digits", "41-chars", "40-chars"])
+def test_parse_coloring_echoes_a_long_token_clipped(token):
+    # A 5,000-digit color is past int()'s digit limit: the error names the
+    # vertex and echoes at most 40 characters of the token.
+    text = f"1 {token} 2"
+    expected = coloring_outcome(reference_parse_coloring, text, 3, 4)
+    assert coloring_outcome(parse_coloring, text, 3, 4) == expected
+    message = expected[1]
+    assert message.startswith("color for vertex 1 is not an integer: ")
+    assert len(message) <= 120
+    assert (f"({len(token)} characters)" in message) == (len(token) > 40)
+
+
 def spelled(value: int):
     """Spellings that int() reads as `value`."""
     sign, digits = "-" if value < 0 else "", str(abs(value))
@@ -186,13 +203,19 @@ def spelled(value: int):
     return st.sampled_from(spellings)
 
 
+# Lines the line grammar skips: a well-formed file stays well formed with them.
+SKIPPED_LINES = st.sampled_from(["", " ", "\t", "#", "# a comment", "  # indented", "\t#x 1",
+                                 "#3 x y", " #"])
+
+
 @st.composite
 def graph_texts(draw):
     """Graph files near the format: a valid graph's lines, other spellings
-    and spacings of its integers, and up to two faults. A fault is graph
-    specific (u >= v, an end out of range, a duplicate edge, a header m too
-    small or too large, n below 1) or one of the sequence file's: a token
-    that is no integer, or a comment, blank or malformed line."""
+    and spacings of its integers, up to two comment or blank lines, and up
+    to two faults. A fault is graph specific (u >= v, an end out of range, a
+    duplicate edge, a header m too small or too large, n below 1) or one of
+    the sequence file's: a token that is no integer, or a comment, blank or
+    malformed line."""
     n = draw(st.integers(1, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [list(e) for e in draw(st.lists(st.sampled_from(pairs), unique=True))] \
@@ -227,6 +250,8 @@ def graph_texts(draw):
     lines = [a + draw(SPACES) + b for a, b in rows]
     for _ in range(faults.count("line")):
         lines.insert(draw(st.integers(0, len(lines))), draw(LINES))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(SKIPPED_LINES))
     text = ""
     for line in lines:
         # Mostly "\n": a " " separator joins two lines into one bad line.
@@ -243,23 +268,38 @@ def parse_outcome(parse, text):
     return g, g.us, g.vs
 
 
+# A tree whose text (26 KB) spans two of `read_pairs`' slices.
+TREE_3000 = serialize_graph(families.random_tree(random.Random(5), 3000))
+
+
 class TestBulkParse:
-    # `parse_graph` reads text without "#" in bulk; `_read_graph_lines` is
-    # the line reader it falls back to, and the reference it must match.
+    # `parse_graph` reads every text in bulk with `read_pairs`, comments
+    # and all; `_read_graph_lines` is the line reader it falls back to, and
+    # the reference it must match.
     @settings(max_examples=400, deadline=None)
-    @given(graph_texts())
-    def test_matches_the_line_reader(self, text):
-        assert parse_outcome(parse_graph, text) == \
-            parse_outcome(graph_module._read_graph_lines, text)
+    @given(graph_texts(), st.sampled_from([1, 5, 16, 1 << 16]))
+    def test_matches_the_line_reader(self, text, slice_chars):
+        # Small slices put slice ends next to every kind of line and comment.
+        expected = parse_outcome(graph_module._read_graph_lines, text)
+        with mock.patch.object(graph_module, "_SLICE_CHARS", slice_chars), \
+                mock.patch.object(graph_module, "_read_graph_lines",
+                                  wraps=graph_module._read_graph_lines) as line_reader:
+            assert parse_outcome(parse_graph, text) == expected
+        # The fallback is the reference, so equal outcomes alone cannot show
+        # a text the bulk read rejected wrongly: a text the line reader
+        # accepts must not reach it.
+        assert line_reader.called != isinstance(expected[0], Graph)
 
     @pytest.mark.parametrize("text", [
         "3 2\n0 1\n1 2", "3 2\r\n\r\n0 1\r\n1 2\r\n", "1 0", " 4 1 \n\t2  3\n",
         "3 2\x0c0 1\x1c1 2\u2028", "+3 0_2\n00 1\n1 2\n",
+        "# c\n3 2\n  # x\n0 1\n\t#\n1 2\n", "#\r\n1 0\r\n",
         # Explicit ids: a test id taken from a whole graph text runs to KBs.
         pytest.param(serialize_graph(families.random_tree(random.Random(3), 1000)),
                      id="tree-1000"),
         pytest.param(serialize_graph(families.random_graph(random.Random(4), 60, 0.3)),
                      id="gnp-60"),
+        pytest.param("# a tree\n" + TREE_3000, id="commented-tree-3000"),
     ])
     def test_well_formed_text_never_reaches_the_line_reader(self, text):
         expected = graph_module._read_graph_lines(text)
@@ -272,6 +312,9 @@ class TestBulkParse:
         "0 0\n", "-1 0\n", "3 -1\n", "3 1\n", "3 1\n0 1\n1 2\n", "3 1\n0 1\n0 1\n",
         "3 1\n1 0\n", "3 1\n1 1\n", "3 1\n-1 2\n", "3 1\n0 3\n", "3 2\n0 1\n0 1\n",
         "3 1\n0 1 2\n", "3 1\n0 x\n", "3 1\n0\n1\n", "\n\n", "3\n",
+        # A duplicate of the first edge, in the tree's second slice.
+        pytest.param(TREE_3000.replace(" 2999\n", " 3000\n", 1)
+                     + TREE_3000.splitlines()[1] + "\n", id="tree-3000-duplicate"),
     ])
     def test_each_fault_falls_back_to_the_line_reader(self, text):
         # One fault in an otherwise well-formed file: the bulk read must

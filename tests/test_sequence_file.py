@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recolorwalk.cli as cli
+import recolorwalk.graphs as graph_module
 from recolorwalk import (
     Coloring,
     GraphFormatError,
@@ -79,7 +80,7 @@ def sequence_texts(draw):
 @given(sequence_texts(), st.sampled_from([1, 5, 16, 1 << 16]))
 def test_parse_matches_the_line_reader(text, slice_chars):
     # Small slices put slice ends next to every kind of line and separator.
-    with mock.patch.object(cli, "_SLICE_CHARS", slice_chars):
+    with mock.patch.object(graph_module, "_SLICE_CHARS", slice_chars):
         assert outcome(cli._parse_steps, text) == outcome(reference_parse_steps, text)
 
 
@@ -89,7 +90,7 @@ def test_fault_in_the_last_of_several_slices():
     body = "".join(f"{v % 1000} {v % 7 + 1}\r\n" if v % 50 else f"  # step {v}\n\n"
                    for v in range(30_000))
     text = body + "0 1 2\n5 6\n"
-    assert len(body) > 2 * cli._SLICE_CHARS
+    assert len(body) > 2 * graph_module._SLICE_CHARS
     faulty_line = len(body.splitlines()) + 1
     expected = (faulty_line, f"line {faulty_line}: expected step 'vertex color'")
     assert outcome(reference_parse_steps, text) == expected
