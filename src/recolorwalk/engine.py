@@ -8,9 +8,12 @@ neighbors cannot exist, layers being independent sets).
 
 Recursion never materializes subgraphs. Each recursive call receives a
 vertex mask, already cut to the layers it may touch, and recolors masked
-vertices only; unmasked vertices in those layers always hold colors outside
-the call's palette, so they can never block a recoloring to a palette
-color. The code does not *rely* on that invariant for safety: the two public
+vertices only; an unmasked vertex in those layers either holds a color
+outside the call's palette or has no neighbor in the mask, so it can never
+block a recoloring of a masked vertex to a palette color. A layer-clearing
+call (`_clear_layer`) masks only the part of the earlier layers joined to
+the vertices it clears, which is where the second case comes from. The code
+does not *rely* on that invariant for safety: the two public
 walk producers, `reduce_palette` and `recolor_between` (which
 `recolor_theorem_pipeline` wraps), replay their walk from its own start in
 that start's palette with `verify_sequence` and check its promised end state
@@ -109,7 +112,9 @@ class WorkSets:
 
     `depth` is the layer-depth budget of the enclosing elimination. The two
     promoted sets are the earlier-layer vertices that each promotion sweep
-    left on the target and on the replacement color, in ascending id;
+    left on the target and on the replacement color, in ascending id; the
+    sweeps run over the part of the earlier layers joined to the cleared
+    vertices (see `_clear_layer`);
     `inner_mask_later_degree` is `_depth`'s count over the unpromoted rest
     with an empty palette, the most later-layer neighbors a rest vertex has
     inside the rest (-1 for an empty rest), which the recursion requires to
@@ -368,19 +373,46 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
             _clear_layer(state, target, a, u, w_a, depth, palette)
 
 
+def _reach(state: _WalkState, u: Sequence[int], w_a: list[int]) -> list[int]:
+    # The vertices of u joined to some w_a vertex by a path inside u, in u's
+    # order: the part of u that `_clear_layer` recolors.
+    adjacency = state.adjacency
+    unreached = set(u)
+    stack = list(w_a)
+    while stack:
+        for x in adjacency[stack.pop()]:
+            if x in unreached:
+                unreached.remove(x)
+                stack.append(x)
+    return [v for v in u if v not in unreached]
+
+
 def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
                  w_a: list[int], depth: int | None, palette: frozenset[int]) -> None:
-    """Move the w_a vertices from `target` to `a`, recoloring only u | w_a.
+    """Move the w_a vertices from `target` to `a`, recoloring only w_a and
+    u', the vertices of u joined to some w_a vertex by a path inside u.
 
-    Promote u toward `target` (freeing `a`-space below), recursively purge
-    `a` from the unpromoted rest, recolor w_a directly, then repeat the
-    first two phases with `a` and `target` interchanged so u ends
-    target-free again. `w_a` is sorted; `depth` is the enclosing
-    elimination's layer depth, None when untraced, and only the trace reads
-    it. Layer vertices with a palette color that no neighbor holds moved
-    early in `_eliminate` and never reach this call, so some neighbor of
-    each w_a vertex holds `a` on entry.
+    Cut u to u' (`_reach`, in u's mask order), promote u' toward `target`
+    (freeing `a`-space below), recursively purge `a` from the unpromoted
+    rest, recolor w_a directly, then repeat the first two phases with `a`
+    and `target` interchanged so u' ends target-free again. `w_a` is sorted;
+    `depth` is the enclosing elimination's layer depth, None when untraced,
+    and only the trace reads it. Layer vertices with a palette color that no
+    neighbor holds moved early in `_eliminate` and never reach this call, so
+    some neighbor of each w_a vertex holds `a` on entry.
+
+    This is the paper's promote-and-purge step run on the components of
+    G[u] that touch w_a only; the rest of u is left as it is:
+    - No new blocking. u minus u' shares no edge with u' | w_a, so it can
+      neither block a move inside the call nor be blocked by one.
+    - u stays target-free. u minus u' was target-free on entry and is not
+      touched.
+    - Every neighbor of w_a in u is still promoted or purged of `a`: it
+      lies in u'.
+    - The depth lemma and `walk_bound(s, t)` still hold: both count only
+      subsets of what they counted over all of u.
     """
+    u = _reach(state, u, w_a)
     inner = _promote(state, u, target)
     _eliminate(state, a, palette - {target}, inner)
     for v in w_a:

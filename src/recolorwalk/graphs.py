@@ -33,7 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import eq, lt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import GraphFormatError, ImproperInput, StateSpaceTooLarge
 
@@ -228,6 +228,16 @@ def _read_graph_lines(text: str) -> Graph:
     return _graph(n, [u for u, _ in first_line], [v for _, v in first_line])
 
 
+def _clipped(token: str, show: Callable[[str], str] = str) -> str:
+    # A token in an error message: `show(token)`, or past 40 characters
+    # `show` of its first 40 and its length. int() reads tokens of up to
+    # 4,300 digits and refuses longer ones, so either kind of bad color can
+    # be that long.
+    if len(token) <= 40:
+        return show(token)
+    return f"{show(token[:40])}... ({len(token)} characters)"
+
+
 def parse_coloring(text: str, n: int, k: int) -> Coloring:
     """Parse a coloring file for an n-vertex graph against palette {1..k}."""
     fields = text.split()
@@ -242,14 +252,11 @@ def parse_coloring(text: str, n: int, k: int) -> Coloring:
         try:
             c = int(token)
         except ValueError:
-            # int() also refuses a token past its digit limit, so a bad token
-            # can be long: the message echoes at most its first 40 characters.
-            shown = repr(token) if len(token) <= 40 else \
-                f"{token[:40]!r}... ({len(token)} characters)"
             raise GraphFormatError(
-                f"color for vertex {v} is not an integer: {shown}") from None
+                f"color for vertex {v} is not an integer: {_clipped(token, repr)}") from None
         if not 1 <= c <= k:
-            raise GraphFormatError(f"color {c} for vertex {v} outside 1..{k}")
+            raise GraphFormatError(
+                f"color {_clipped(str(c))} for vertex {v} outside 1..{k}")
         colors.append(c)
     return Coloring(tuple(colors), k)
 

@@ -3,6 +3,7 @@ graph writer, special-independent-set enumeration, the one-sided distance
 search, the first-written layer-depth predicate the tests check the
 engine's against and the structural later-edge test the direct move must
 cover, both counting later-layer neighbors on their own with no engine code,
+the breadth-first reference for the part of u a layer-clearing call sweeps,
 the `eliminate` helper that reaches the engine's private color elimination,
 and two probes of the walk recursion: a per-call move counter for the
 layer-clearing calls and a sweep that corrupts a walk."""
@@ -10,7 +11,7 @@ layer-clearing calls and a sweep that corrupts a walk."""
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import recolorwalk.engine as engine
 from recolorwalk import (
@@ -230,6 +231,22 @@ def later_edge_reference(state, vertices) -> bool:
     early in `_eliminate` and makes no clearing call."""
     members = set(vertices)
     return _later_degree(state, members, members) > 0
+
+
+def reach_reference(state, u, w_a) -> set[int]:
+    """The vertices of u joined to some w_a vertex by a path inside u:
+    breadth-first from w_a over the subgraph induced on u | w_a, with no
+    engine code."""
+    inside = set(u) | set(w_a)
+    reached = set(w_a)
+    queue = deque(w_a)
+    while queue:
+        v = queue.popleft()
+        for x in state.adjacency[v]:
+            if x in inside and x not in reached:
+                reached.add(x)
+                queue.append(x)
+    return reached - set(w_a)
 
 
 class _CountedColors(list):

@@ -399,8 +399,8 @@ def corpus_quality(seqs):
 
 # A change that alters emitted walks on purpose updates these constants and
 # quotes the old and the new digests in CHANGES.md.
-PINNED_WALK_DIGEST = "e887c52d67e0e78deb87dcd295dfb39f1c4ba8eb2bf9d3ff2dabca175e757231"
-PINNED_REDUCE_DIGEST = "98d9b6aa26df9954bf1a5544e2adb105a94a965d9c25e1940ccc4814880da900"
+PINNED_WALK_DIGEST = "70282e26b7f47941518f7ad19c5d5a58e51fb5215c7d243b19017ae1a6f9247c"
+PINNED_REDUCE_DIGEST = "8d27135a5a84fbfd89d7f3f2476a2063f22c76d69a620ec1cbd3401ba7a706bf"
 
 
 def test_walks_match_the_pinned_digest():
@@ -417,9 +417,9 @@ def test_corpus_walks_stay_under_their_ceilings():
     # direction here, not only as a digest mismatch. At the pinned digests
     # they read exactly these values.
     steps, most = corpus_quality(seq for seq, _ in walk_corpus())
-    assert steps <= 994 and most <= 9, (steps, most)
+    assert steps <= 980 and most <= 9, (steps, most)
     steps, most = corpus_quality(reduce_corpus())
-    assert steps <= 234 and most <= 3, (steps, most)
+    assert steps <= 233 and most <= 3, (steps, most)
 
 
 def test_masks_stay_in_embedded_order(monkeypatch):
@@ -485,6 +485,40 @@ def test_clearing_calls_find_the_new_color_held(monkeypatch):
     assert walk_corpus_digest() == PINNED_WALK_DIGEST
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
     assert calls > 0
+
+
+def test_clearing_calls_recolor_only_what_joins_w_a(monkeypatch):
+    # A clearing call recolors w_a and the part of u joined to w_a by a path
+    # inside u, nothing else: `_reach` matches the breadth-first reference
+    # in `families`, in u's order, and every vertex written during the call,
+    # moves merged or cancelled included, lies in w_a or in that part. On
+    # both pinned corpora and seeded trees, where some calls leave part of
+    # u alone.
+    families.count_clearing_moves(monkeypatch.setattr)
+    clear_layer = engine._clear_layer
+    calls = cut = 0
+
+    def checked(state, target, a, u, w_a, depth, palette):
+        nonlocal calls, cut
+        joined = families.reach_reference(state, u, w_a)
+        assert engine._reach(state, u, w_a) == [v for v in u if v in joined]
+        writes = state.colors.writes
+        before = dict(writes)
+        clear_layer(state, target, a, u, w_a, depth, palette)
+        written = {v for v, count in writes.items() if count != before.get(v, 0)}
+        assert written <= joined.union(w_a), sorted(written - joined.union(w_a))
+        calls += 1
+        cut += len(joined) < len(u)
+    monkeypatch.setattr(engine, "_clear_layer", checked)
+    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
+    rng = random.Random(5151)
+    for _ in range(10):
+        g = families.random_tree(rng, rng.randint(40, 60))
+        p = build_degree_partition(g, SpecialISParams(3, HALF))
+        alpha, beta = (families.random_proper_coloring(rng, g, 4) for _ in range(2))
+        recolor_between(g, p, alpha, beta, 4)
+    assert calls > 0 and cut > 0, (calls, cut)
 
 
 class TestCompaction:
@@ -709,8 +743,9 @@ def test_walks_stay_near_the_optimum():
 
 def test_colorings_one_move_apart_get_a_short_walk():
     # The seeded 1000-vertex tree with vertex 2 moved to its free color 3:
-    # the exact distance is 1. The walk is 23 steps here; it was 2,656 when
-    # a cancelled record still blocked its neighbors' merges.
+    # the exact distance is 1, and the walk is that one step. It was 23
+    # steps when clearing calls swept all of u, and 2,656 when a cancelled
+    # record still blocked its neighbors' merges.
     rng = random.Random(1000)
     g = families.random_tree(rng, 1000)
     p = build_degree_partition(g, SpecialISParams(3, HALF))
@@ -718,7 +753,21 @@ def test_colorings_one_move_apart_get_a_short_walk():
     colors = list(alpha.colors)
     assert 3 not in {colors[w] for w in g.adjacency[2]} | {colors[2]}
     colors[2] = 3
-    assert len(recolor_between(g, p, alpha, Coloring(tuple(colors), 4), 4).vertices) <= 64
+    seq = recolor_between(g, p, alpha, Coloring(tuple(colors), 4), 4)
+    assert (seq.vertices, seq.new_colors) == ((2,), (3,))
+
+
+def test_large_tree_walk_stays_short():
+    # The seeded 10,000-vertex tree, d = 3, k = 4: 14,146 steps with at most
+    # 6 moves of one vertex. Clearing calls that swept all of u walked
+    # 44,647 steps with up to 17.
+    rng = random.Random(1000)
+    g = families.random_tree(rng, 10_000)
+    p = build_degree_partition(g, SpecialISParams(3, HALF))
+    alpha = families.random_proper_coloring(rng, g, 4)
+    beta = families.random_proper_coloring(rng, g, 4)
+    stats = sequence_stats(recolor_between(g, p, alpha, beta, 4))
+    assert stats.total <= 14_146 and stats.max_per_vertex <= 6, stats
 
 
 class TestRecolorBetween:
@@ -855,11 +904,12 @@ class TestRecolorBetween:
 
     def test_deep_recursion_actually_promotes(self):
         # depth-2 runs must exercise the promote-and-purge machinery, not
-        # just the direct base case
+        # just the direct base case (12 of the 28 clearing calls here
+        # promote)
         rng = random.Random(55)
         general = 0
         for _ in range(10):
-            g = families.random_theta(rng, rng.randint(6, 25))
+            g = families.random_tree(rng, rng.randint(40, 60))
             alpha = families.random_proper_coloring(rng, g, 4)
             beta = families.random_proper_coloring(rng, g, 4)
             trace = EliminationTrace()
@@ -1008,15 +1058,13 @@ class TestVerifySequence:
 def test_walk_peak_bytes_per_step():
     # The walk is kept as flat int lists and tuples, with no object per
     # step, and compacted as it is built: one `recolor_between` on a
-    # 3000-vertex tree makes 93,273 moves, emits 9,948 steps and peaks at
-    # 1.99 MB traced, 21 B per move, against a bound of 2.5 MB: each record
-    # keeps the vertex's record before it, the beta side is replayed into
-    # the alpha side and freed once read (1.90 MB when a third side
-    # recorded the join, 2.63 MB with all sides kept to the end; on the
-    # 1000-vertex tree of the same seed, 41 B per move when every move was
-    # kept as a step and 159 with a frozen step object per step).
+    # 6000-vertex tree makes 27,522 moves, emits 8,769 steps and peaks at
+    # 1.53 MB traced, against a bound of 1.6 MB: each record keeps the
+    # vertex's record before it, the beta side is replayed into the alpha
+    # side and freed once read. (The 3000-vertex tree of the same seed walks
+    # only 4,216 steps.)
     rng = random.Random(1000)
-    g = families.random_tree(rng, 3000)
+    g = families.random_tree(rng, 6000)
     p = build_degree_partition(g, SpecialISParams(3, HALF))
     alpha = families.random_proper_coloring(rng, g, 4)
     beta = families.random_proper_coloring(rng, g, 4)
@@ -1028,20 +1076,20 @@ def test_walk_peak_bytes_per_step():
     finally:
         tracemalloc.stop()
     assert len(seq.vertices) > 5_000
-    assert peak <= 2_500_000
+    assert peak <= 1_600_000
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_walk_leaves_no_tuples_behind(seed):
     # A walk whose result is dropped leaves at most 16 KiB traced once it
-    # returns (3.8-4.2 KiB here). Masks built as tuple(<generator>) left
-    # 45-72 KiB on these instances when `_eliminate`'s earlier-layer slices
+    # returns (3.9-4.8 KiB here). Masks built as tuple(<generator>) left
+    # 29-70 KiB on these instances when `_eliminate`'s earlier-layer slices
     # and `_between`'s next masks were built that way: each small tuple
     # freed parks its block in CPython's per-size tuple free lists, which
     # only a full collection empties, and which pin allocator arenas between
-    # requests. The walks are 988-1,174 steps long.
+    # requests. The walks are 842-1,438 steps long.
     rng = random.Random(seed)
-    g = families.random_graph(rng, 120, 0.025)
+    g = families.random_graph(rng, 200, 0.025)
     p = degree_partition_from_degeneracy(g)
     k = p.s + 5
     alpha = families.random_proper_coloring(rng, g, k)

@@ -142,8 +142,8 @@ class TestParse:
 
 def reference_parse_coloring(text: str, n: int, k: int) -> Coloring:
     # The per-vertex reader `parse_coloring` replaced, kept as the reference
-    # its results and errors must match; a bad token past 40 characters is
-    # echoed as its first 40 and its length.
+    # its results and errors must match; a bad token, or an out-of-range
+    # color, past 40 characters is echoed as its first 40 and its length.
     fields = text.split()
     if len(fields) != n:
         raise GraphFormatError(f"expected {n} colors, found {len(fields)}")
@@ -157,7 +157,10 @@ def reference_parse_coloring(text: str, n: int, k: int) -> Coloring:
             raise GraphFormatError(
                 f"color for vertex {v} is not an integer: {shown}") from None
         if not 1 <= c <= k:
-            raise GraphFormatError(f"color {c} for vertex {v} outside 1..{k}")
+            digits = str(c)
+            shown = digits if len(digits) <= 40 else \
+                f"{digits[:40]}... ({len(digits)} characters)"
+            raise GraphFormatError(f"color {shown} for vertex {v} outside 1..{k}")
         colors.append(c)
     return Coloring(tuple(colors), k)
 
@@ -190,6 +193,21 @@ def test_parse_coloring_echoes_a_long_token_clipped(token):
     assert coloring_outcome(parse_coloring, text, 3, 4) == expected
     message = expected[1]
     assert message.startswith("color for vertex 1 is not an integer: ")
+    assert len(message) <= 120
+    assert (f"({len(token)} characters)" in message) == (len(token) > 40)
+
+
+@pytest.mark.parametrize("token", ["7" * 4000, "-" + "7" * 40, "7" * 40],
+                         ids=["4000-digits", "41-chars", "40-chars"])
+def test_parse_coloring_echoes_a_long_color_clipped(token):
+    # A color that int() reads but the palette does not hold: the range
+    # error echoes at most 40 characters of it too.
+    text = f"1 {token} 2"
+    expected = coloring_outcome(reference_parse_coloring, text, 3, 4)
+    assert coloring_outcome(parse_coloring, text, 3, 4) == expected
+    message = expected[1]
+    assert message.startswith(f"color {token[:40]}") and message.endswith(
+        " for vertex 1 outside 1..4")
     assert len(message) <= 120
     assert (f"({len(token)} characters)" in message) == (len(token) > 40)
 
