@@ -23,9 +23,11 @@ before returning, so a fault surfaces as a SequenceViolation, also under
 Masks are lists or slices in embedded order, never tuples built from
 generators (see `_eliminate`), and palettes hold the colors in play, so a
 call costs what it owns, not the graph's size or the largest color value.
-Each elimination round slices its mask by layer, so masks must stay in
-embedded order: `_promote` returns the vertices it leaves in mask order, and
-that list is the next mask.
+An elimination groups its mask's vertices on the target by layer in one
+pass, and each clearing call gets the earlier layers as a prefix of the
+mask found by bisecting, so masks must stay in embedded order: `_promote`
+returns the vertices it leaves in mask order, and that list is the next
+mask.
 
 A walk stays flat from construction to every replay: each side records
 flat int lists, a record being a vertex and the color it left (and, for
@@ -48,9 +50,10 @@ the rule, so no further pass would shorten it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import eq
 from typing import Callable, Sequence
 
@@ -291,17 +294,24 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     so the layers above it still hold `target` exactly where they did on
     entry. Callers cut the mask to the layers they may touch.
 
-    The mask must be in embedded order: layers never decrease along it, so
-    a round's earlier layers are a prefix of the mask and its own layer a
-    slice, both found by bisecting the mask's layers.
+    The mask must be in embedded order: layers never decrease along it. One
+    pass on entry takes the masked vertices on `target`, in mask order, and
+    groups them by layer, lowest first: each group is its round's vertices.
+    They are still on `target` when the round starts, and no other vertex
+    of the layer is, because the rounds below h recolor only layers up to
+    their own and leave layer h as it was on entry. Only a clearing call
+    cuts the mask: it gets the round's earlier layers, a prefix found by
+    bisecting on `layer_of`. A round whose vertices all move early costs
+    one pass over its group.
 
-    Early move: before each replacement pass, a round moves each of its
-    layer's vertices still on `target` to the smallest other palette color
-    that no neighbor holds; vertices that an earlier pass's clearing call
-    moved are skipped. Only the vertices with no such color go on to the
-    pass's w_a test and `_clear_layer`, which so finds `a` held next to
-    each of them. That is one admissible choice of the paper's replacement
-    color, which need only be free of later-layer neighbors.
+    Early move: each replacement pass opens with a pass over the vertices
+    the one before it kept (the group, for the first), skipping those an
+    earlier pass's clearing call moved off `target`. It moves each to the
+    smallest other palette color that no neighbor holds and keeps, in
+    order, the ones with no such color. Only those go on to the pass's w_a
+    test and `_clear_layer`, which so finds `a` held next to each of them.
+    That is one admissible choice of the paper's replacement color, which
+    need only be free of later-layer neighbors.
     - Each move is proper: no neighbor of v holds the chosen color when v
       moves, and the moved vertices lie in one layer, an independent set,
       so no early move blocks another.
@@ -339,26 +349,21 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
             raise PaletteTooSmall(
                 f"palette of {len(palette)} colors cannot clear a color at layer "
                 f"depth {depth}; at least {depth + 2} colors are needed")
-    layers = [layer_of[v] for v in mask]
     replacements = sorted(palette - {target})
-    for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
-        # Masks are lists or slices, never tuple(<generator>): that allocates
-        # at a guessed size and resizes, so each small mask freed parks a
-        # block in CPython's per-size tuple free lists (2000 a size), which
-        # only a full collection empties and which pin allocator arenas
-        # meanwhile.
-        start = bisect_left(layers, h)
-        u = mask[:start]
-        w = mask[start:bisect_right(layers, h, start)]
+    for h, w in groupby([v for v in mask if colors[v] == target], layer_of.__getitem__):
         for a in replacements:
-            w = [v for v in w if colors[v] == target]
-            for v in w:  # the early move
-                held = {colors[x] for x in adjacency[v]}
-                for b in replacements:
-                    if b not in held:
-                        state.recolor(v, b)
-                        break
-            w = [v for v in w if colors[v] == target]
+            # A groupby group can be read once: this pass reads it, and
+            # every later pass reads the list of vertices this one kept.
+            moving, w = w, []
+            for v in moving:  # the early move
+                if colors[v] == target:
+                    held = {colors[x] for x in adjacency[v]}
+                    for b in replacements:
+                        if b not in held:
+                            state.recolor(v, b)
+                            break
+                    else:
+                        w.append(v)
             if not w:
                 break
             w_a = []
@@ -370,6 +375,12 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
                     w_a.append(v)
             if not w_a:
                 continue
+            # Masks are lists or slices, never tuple(<generator>): that
+            # allocates at a guessed size and resizes, so each small mask
+            # freed parks a block in CPython's per-size tuple free lists (2000
+            # a size), which only a full collection empties and which pin
+            # allocator arenas meanwhile.
+            u = mask[:bisect_left(mask, h, key=layer_of.__getitem__)]
             _clear_layer(state, target, a, u, w_a, depth, palette)
 
 

@@ -4,19 +4,22 @@ search, the first-written layer-depth predicate the tests check the
 engine's against and the structural later-edge test the direct move must
 cover, both counting later-layer neighbors on their own with no engine code,
 the breadth-first reference for the part of u a layer-clearing call sweeps,
-the `eliminate` helper that reaches the engine's private color elimination,
+the round loop a color elimination ran before its rounds were grouped, the
+`eliminate` helper that reaches the engine's private color elimination,
 and two probes of the walk recursion: a per-call move counter for the
 layer-clearing calls and a sweep that corrupts a walk."""
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 
 import recolorwalk.engine as engine
 from recolorwalk import (
     Coloring,
     Graph,
+    PaletteTooSmall,
     RecoloringSequence,
     StateSpaceTooLarge,
     degeneracy_ordering,
@@ -247,6 +250,53 @@ def reach_reference(state, u, w_a) -> set[int]:
                 reached.add(x)
                 queue.append(x)
     return reached - set(w_a)
+
+
+def eliminate_reference(state, target, palette, mask) -> None:
+    """`engine._eliminate` as it was before its rounds were grouped: each
+    round bisects a list of the mask's layers for its earlier layers and its
+    own, and filters its layer slice on `target` around every early move.
+    Installed as `engine._eliminate`, it also serves the nested calls of
+    `engine._clear_layer`; the walks must come out identical."""
+    if not mask:
+        return
+    layer_of = state.layer_of
+    colors = state.colors
+    adjacency = state.adjacency
+    depth = None
+    if state.trace is not None:
+        depth = engine._depth(state, mask, palette)
+        if len(palette) < depth + 2:
+            raise PaletteTooSmall(
+                f"palette of {len(palette)} colors cannot clear a color at layer "
+                f"depth {depth}; at least {depth + 2} colors are needed")
+    layers = [layer_of[v] for v in mask]
+    replacements = sorted(palette - {target})
+    for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
+        start = bisect_left(layers, h)
+        u = mask[:start]
+        w = mask[start:bisect_right(layers, h, start)]
+        for a in replacements:
+            w = [v for v in w if colors[v] == target]
+            for v in w:  # the early move
+                held = {colors[x] for x in adjacency[v]}
+                for b in replacements:
+                    if b not in held:
+                        state.recolor(v, b)
+                        break
+            w = [v for v in w if colors[v] == target]
+            if not w:
+                break
+            w_a = []
+            for v in w:
+                for x in adjacency[v]:
+                    if colors[x] == a and layer_of[x] > h:
+                        break
+                else:
+                    w_a.append(v)
+            if not w_a:
+                continue
+            engine._clear_layer(state, target, a, u, w_a, depth, palette)
 
 
 class _CountedColors(list):

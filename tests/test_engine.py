@@ -423,8 +423,9 @@ def test_corpus_walks_stay_under_their_ceilings():
 
 
 def test_masks_stay_in_embedded_order(monkeypatch):
-    # `_eliminate` finds a round's layers by bisecting its mask, which needs
-    # strictly increasing embedded positions along every mask it receives:
+    # `_eliminate` groups a mask's vertices by layer and finds a round's
+    # earlier layers by bisecting the mask, which needs strictly increasing
+    # embedded positions along every mask it receives:
     # from `_reduce`, from `_between` and from its own recursion.
     eliminate = engine._eliminate
     callers = set()
@@ -519,6 +520,119 @@ def test_clearing_calls_recolor_only_what_joins_w_a(monkeypatch):
         alpha, beta = (families.random_proper_coloring(rng, g, 4) for _ in range(2))
         recolor_between(g, p, alpha, beta, 4)
     assert calls > 0 and cut > 0, (calls, cut)
+
+
+def grouping_corpus():
+    """Peeled trees and degeneracy-route G(n, p), each at k from s+2 to
+    s+4, as (graph, partition, alpha, beta, k)."""
+    rng = random.Random(3131)
+    for i in range(48):
+        if i % 2:
+            g = families.random_tree(rng, rng.randint(20, 80))
+            p = build_degree_partition(g, SpecialISParams(3, HALF))
+        else:
+            n = rng.randint(20, 80)
+            g = families.random_graph(rng, n, rng.uniform(2, 5) / n)
+            p = degree_partition_from_degeneracy(g)
+        k = p.s + 2 + i % 3
+        alpha, beta = (families.random_proper_coloring(rng, g, k) for _ in range(2))
+        yield g, p, alpha, beta, k
+
+
+def grouping_walks():
+    """The traced walks of `grouping_corpus` with their claims, and each
+    beta reduced to s+2 colors."""
+    walks = []
+    for g, p, alpha, beta, k in grouping_corpus():
+        trace = EliminationTrace()
+        seq = recolor_between(g, p, alpha, beta, k, trace=trace)
+        reduced = reduce_palette(g, p, beta, k, p.s + 2)
+        walks.append((seq.vertices, seq.new_colors, trace.claims,
+                      reduced.vertices, reduced.new_colors))
+    return walks
+
+
+def test_grouped_rounds_match_the_reference(monkeypatch):
+    # `_eliminate` takes its mask's vertices on the target once, grouped by
+    # layer, and each replacement pass keeps the ones its early move left.
+    # `families.eliminate_reference` is the round loop as it was before,
+    # slicing and filtering each round's layer; installed as
+    # `engine._eliminate`, so that the nested calls of `_clear_layer` use it
+    # too, it gives the same walks and claims on peeled trees and on
+    # degeneracy-route G(n, p). Some rounds have a layer of several target
+    # vertices where one moved early and another went to a clearing call:
+    # the rounds that would lose their blocked vertices if a group were read
+    # twice.
+    eliminate, clear_layer = engine._eliminate, engine._clear_layer
+    cleared = []
+    mixed = 0
+
+    def watched_eliminate(state, target, palette, mask):
+        nonlocal mixed
+        groups = {}
+        for v in mask:
+            if state.colors[v] == target:
+                groups.setdefault(state.layer_of[v], []).append(v)
+        cleared.append(set())
+        eliminate(state, target, palette, mask)
+        sent = cleared.pop()
+        mixed += sum(1 for group in groups.values()
+                     if len(group) > 1 and not sent.isdisjoint(group)
+                     and not sent.issuperset(group))
+
+    def watched_clear_layer(state, target, a, u, w_a, depth, palette):
+        cleared[-1].update(w_a)
+        clear_layer(state, target, a, u, w_a, depth, palette)
+    monkeypatch.setattr(engine, "_eliminate", watched_eliminate)
+    monkeypatch.setattr(engine, "_clear_layer", watched_clear_layer)
+    grouped = grouping_walks()
+    monkeypatch.setattr(engine, "_eliminate", families.eliminate_reference)
+    monkeypatch.setattr(engine, "_clear_layer", clear_layer)
+    assert grouping_walks() == grouped
+    assert mixed > 0
+
+
+def test_rounds_cut_the_mask_only_for_clearing_calls(monkeypatch):
+    # Counting guard, no timing: a round pays for the earlier layers only
+    # when it makes a clearing call, which gets them as a prefix of the mask
+    # cut by `bisect_left`. A round left with a blocked vertex always makes
+    # one: the vertex's later-layer degree is at most the depth, and the
+    # palette has at least depth+2 colors, so some replacement color is free
+    # of its later-layer neighbors. On degeneracy-route graphs every layer is
+    # one vertex and most rounds end at the early move, so the prefix cuts
+    # are at most the clearing calls and the rounds outnumber them many
+    # times over.
+    eliminate, clear_layer, bisect_left = (engine._eliminate, engine._clear_layer,
+                                           engine.bisect_left)
+    rounds = calls = cuts = 0
+
+    def counted_eliminate(state, target, palette, mask):
+        nonlocal rounds
+        rounds += len({state.layer_of[v] for v in mask if state.colors[v] == target})
+        eliminate(state, target, palette, mask)
+
+    def counted_clear_layer(*args):
+        nonlocal calls
+        calls += 1
+        clear_layer(*args)
+
+    def counted_bisect_left(*args, **kwargs):
+        nonlocal cuts
+        cuts += 1
+        return bisect_left(*args, **kwargs)
+    monkeypatch.setattr(engine, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(engine, "_clear_layer", counted_clear_layer)
+    monkeypatch.setattr(engine, "bisect_left", counted_bisect_left)
+    rng = random.Random(4141)
+    for _ in range(20):
+        n = rng.randint(60, 120)
+        g = families.random_graph(rng, n, 4 / n)
+        p = degree_partition_from_degeneracy(g)
+        k = p.s + 2 + rng.randint(0, 2)
+        alpha, beta = (families.random_proper_coloring(rng, g, k) for _ in range(2))
+        recolor_between(g, p, alpha, beta, k)
+    assert 0 < cuts <= calls, (cuts, calls)
+    assert rounds >= 10 * cuts, (rounds, cuts)
 
 
 class TestCompaction:
