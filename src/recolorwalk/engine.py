@@ -107,47 +107,23 @@ class RecolorStats:
     max_per_vertex: int
 
 
-@dataclass(frozen=True)
-class WorkSets:
-    """Instrumentation snapshot of one inner layer-clearing call. Layer
-    vertices that moved early, to a color no neighbor held, make no call and
-    so no snapshot (see `_eliminate`).
-
-    `depth` is the layer-depth budget of the enclosing elimination. The two
-    promoted sets are the earlier-layer vertices that each promotion sweep
-    left on the target and on the replacement color, in ascending id; the
-    sweeps run over the part of the earlier layers joined to the cleared
-    vertices (see `_clear_layer`);
-    `inner_mask_later_degree` is `_depth`'s count over the unpromoted rest
-    with an empty palette, the most later-layer neighbors a rest vertex has
-    inside the rest (-1 for an empty rest), which the recursion requires to
-    be strictly below `depth`.
-    """
-
-    depth: int
-    promoted_to_target: tuple[int, ...]
-    promoted_to_color: tuple[int, ...]
-    inner_mask_later_degree: int
-
-
 @dataclass
 class EliminationTrace:
     """What the walk recursion of one `recolor_between(..., trace=)` call
-    did: `claims` holds one `WorkSets` per inner layer-clearing call, in the
-    order the calls finish, with its four fields `depth`,
-    `promoted_to_target`, `promoted_to_color` and `inner_mask_later_degree`.
-    A claim is written once its call has made its moves; no move reads the
+    did: `claims` holds, per inner layer-clearing call in the order the
+    calls finish, the layer vertices the call cleared, in ascending id. A
+    claim is written once its call has made its moves; no move reads the
     trace.
     """
 
-    claims: list[WorkSets] = field(default_factory=list)
+    claims: list[tuple[int, ...]] = field(default_factory=list)
 
 
 class _WalkState:
     """One side of a walk under construction, plus the context that every
     frame of the recursion shares: the graph's `adjacency`, the embedded
-    ordering's `order` and `layer_of`, and the `trace` (or None) that gets one
-    WorkSets per inner layer-clearing call. `colors` is the current coloring.
+    ordering's `order` and `layer_of`, and the `trace` (or None) that logs
+    each inner layer-clearing call. `colors` is the current coloring.
 
     Record i moves `vertices[i]` off color `left[i]`; `walk` reads its new
     color back, and replayed in reverse it restores `left[i]`.
@@ -231,7 +207,8 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     # Returns the masked vertices left off `target`, in mask order: the next
     # mask of `_between` and the rest `_clear_layer` recurses on. The sweeps
     # make most of a walk's moves, so they copy `_WalkState.recolor`'s rule
-    # inline: calling it made `recolor_between` 12 % slower on 1000-vertex trees.
+    # inline: calling it made `recolor_between` 2-5 % slower on the peel-tree
+    # batch of 1000-vertex trees and up to 1.4 % slower on degen-wide.
     rest = []
     colors = state.colors
     adjacency = state.adjacency
@@ -262,27 +239,6 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
             prev.append(r)
     rest.reverse()
     return rest
-
-
-def _depth(state: _WalkState, mask: Sequence[int], palette: frozenset[int]) -> int:
-    # Layer-depth budget of an elimination: the most later-layer neighbors of
-    # a masked vertex that could ever hold a palette color during the call,
-    # masked ones (they stay inside the palette) plus unmasked ones currently
-    # colored from it; 0 for none.
-    adjacency = state.adjacency
-    layer_of = state.layer_of
-    colors = state.colors
-    members = set(mask)
-    depth = 0
-    for v in mask:
-        lv = layer_of[v]
-        count = 0
-        for w in adjacency[v]:
-            if layer_of[w] > lv and (w in members or colors[w] in palette):
-                count += 1
-        if count > depth:
-            depth = count
-    return depth
 
 
 def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
@@ -329,26 +285,22 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
       in `_clear_layer`, as the bound charges; once off `target` it is
       skipped by every later pass, and nested calls never mask its layer.
 
-    The layer-depth scan `_depth` and its PaletteTooSmall guard run only
-    for a traced call, whose claims record the depth; no move reads it. The
-    guard cannot fire from a public entry: `recolor_between` and
-    `reduce_palette` start with k >= s+2 colors against a depth of at most
-    s, and each nested call gets one color fewer for a strictly smaller
-    later-layer degree (the paper's lemma, which criterion 5 checks on
-    every traced claim).
+    The layer depth is the most later-layer neighbors a masked vertex has
+    among those that could hold a palette color during the call: masked
+    ones, and unmasked ones on a palette color. No move reads it, so the
+    call does not compute it. A palette of depth + 2 colors always
+    suffices: `recolor_between` and `reduce_palette` start with k >= s+2
+    colors against a depth of at most s, and each nested call gets one
+    color fewer for a strictly smaller later-layer degree (the paper's
+    depth lemma). Criterion 5 checks the lemma at every elimination and
+    clearing call through the test recorder
+    `families.record_clearing_calls`.
     """
     if not mask:
         return
     layer_of = state.layer_of
     colors = state.colors
     adjacency = state.adjacency
-    depth = None
-    if state.trace is not None:
-        depth = _depth(state, mask, palette)
-        if len(palette) < depth + 2:
-            raise PaletteTooSmall(
-                f"palette of {len(palette)} colors cannot clear a color at layer "
-                f"depth {depth}; at least {depth + 2} colors are needed")
     replacements = sorted(palette - {target})
     for h, w in groupby([v for v in mask if colors[v] == target], layer_of.__getitem__):
         for a in replacements:
@@ -381,7 +333,7 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
             # a size), which only a full collection empties and which pin
             # allocator arenas meanwhile.
             u = mask[:bisect_left(mask, h, key=layer_of.__getitem__)]
-            _clear_layer(state, target, a, u, w_a, depth, palette)
+            _clear_layer(state, target, a, u, w_a, palette)
 
 
 def _reach(state: _WalkState, u: Sequence[int], w_a: list[int]) -> list[int]:
@@ -399,18 +351,17 @@ def _reach(state: _WalkState, u: Sequence[int], w_a: list[int]) -> list[int]:
 
 
 def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
-                 w_a: list[int], depth: int | None, palette: frozenset[int]) -> None:
+                 w_a: list[int], palette: frozenset[int]) -> None:
     """Move the w_a vertices from `target` to `a`, recoloring only w_a and
     u', the vertices of u joined to some w_a vertex by a path inside u.
 
     Cut u to u' (`_reach`, in u's mask order), promote u' toward `target`
     (freeing `a`-space below), recursively purge `a` from the unpromoted
     rest, recolor w_a directly, then repeat the first two phases with `a`
-    and `target` interchanged so u' ends target-free again. `w_a` is sorted;
-    `depth` is the enclosing elimination's layer depth, None when untraced,
-    and only the trace reads it. Layer vertices with a palette color that no
-    neighbor holds moved early in `_eliminate` and never reach this call, so
-    some neighbor of each w_a vertex holds `a` on entry.
+    and `target` interchanged so u' ends target-free again. `w_a` is sorted.
+    Layer vertices with a palette color that no neighbor holds moved early
+    in `_eliminate` and never reach this call, so some neighbor of each w_a
+    vertex holds `a` on entry.
 
     This is the paper's promote-and-purge step run on the components of
     G[u] that touch w_a only; the rest of u is left as it is:
@@ -431,13 +382,7 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
     rest = _promote(state, u, a)
     _eliminate(state, target, palette - {a}, rest)
     if state.trace is not None:
-        # A sweep promoted the vertices of its mask it did not return.
-        state.trace.claims.append(WorkSets(
-            depth=depth,
-            promoted_to_target=tuple(sorted(set(u).difference(inner))),
-            promoted_to_color=tuple(sorted(set(u).difference(rest))),
-            inner_mask_later_degree=_depth(state, inner, frozenset()) if inner else -1,
-        ))
+        state.trace.claims.append(tuple(w_a))
 
 
 def _between(a_state: _WalkState, b_state: _WalkState, mask: Sequence[int],
@@ -609,13 +554,6 @@ def sequence_stats(seq: RecoloringSequence) -> RecolorStats:
                         max(per_vertex, default=0))
 
 
-def _elim_bound(s: int, t: int) -> int:
-    # Per-vertex ceiling of one color elimination; see `walk_bound`.
-    if s <= 0:
-        return 1
-    return t * (s + 1) * (2 + 2 * _elim_bound(s - 1, t)) + 1
-
-
 def walk_bound(s: int, t: int) -> int:
     """Per-vertex ceiling over a full two-sided walk at depth s with k = s + 2.
 
@@ -639,6 +577,8 @@ def walk_bound(s: int, t: int) -> int:
         elim(0, t) = 1
         elim(s, t) = t * (s + 1) * (2 + 2 * elim(s - 1, t)) + 1
     """
-    if s <= 0:
-        return 1
-    return 2 * _elim_bound(s, t) + 2 + walk_bound(s - 1, t)
+    elim = walk = 1
+    for i in range(1, s + 1):
+        elim = t * (i + 1) * (2 + 2 * elim) + 1
+        walk = 2 * elim + 2 + walk
+    return walk

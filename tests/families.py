@@ -1,19 +1,20 @@
 """Deterministic graph and coloring builders shared by the test suite, the
 graph writer, special-independent-set enumeration, the one-sided distance
-search, the first-written layer-depth predicate the tests check the
-engine's against and the structural later-edge test the direct move must
-cover, both counting later-layer neighbors on their own with no engine code,
-the breadth-first reference for the part of u a layer-clearing call sweeps,
-the round loop a color elimination ran before its rounds were grouped, the
-`eliminate` helper that reaches the engine's private color elimination,
-and two probes of the walk recursion: a per-call move counter for the
-layer-clearing calls and a sweep that corrupts a walk."""
+search, the layer depth of an elimination and the structural later-edge
+test the direct move must cover, both counting later-layer neighbors on
+their own with no engine code, the breadth-first reference for the part of
+u a layer-clearing call sweeps, the round loop a color elimination ran
+before its rounds were grouped, the `eliminate` helper that reaches the
+engine's private color elimination, and two probes of the walk recursion: a
+recorder of the layer-clearing calls, which checks the paper's depth lemma
+from outside the engine, and a sweep that corrupts a walk."""
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
+from dataclasses import dataclass
 
 import recolorwalk.engine as engine
 from recolorwalk import (
@@ -217,9 +218,11 @@ def _later_degree(state, vertices, among) -> int:
 
 
 def depth_reference(state, mask, palette) -> int:
-    """`engine._depth` as first written: collect the neighbors of masked
-    vertices that are masked or hold a palette color, then take the largest
-    later-layer count among them over the mask, at least 0."""
+    """The layer depth of an elimination over `mask` with `palette` (see
+    `engine._eliminate`): collect the neighbors of masked vertices that are
+    masked or hold a palette color, then take the largest later-layer count
+    among them over the mask, at least 0. With an empty palette, the most
+    later-layer neighbors a masked vertex has inside the mask."""
     members = set(mask)
     holders = {w for v in mask for w in state.adjacency[v]
                if w in members or state.colors[w] in palette}
@@ -263,13 +266,6 @@ def eliminate_reference(state, target, palette, mask) -> None:
     layer_of = state.layer_of
     colors = state.colors
     adjacency = state.adjacency
-    depth = None
-    if state.trace is not None:
-        depth = engine._depth(state, mask, palette)
-        if len(palette) < depth + 2:
-            raise PaletteTooSmall(
-                f"palette of {len(palette)} colors cannot clear a color at layer "
-                f"depth {depth}; at least {depth + 2} colors are needed")
     layers = [layer_of[v] for v in mask]
     replacements = sorted(palette - {target})
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
@@ -296,7 +292,7 @@ def eliminate_reference(state, target, palette, mask) -> None:
                     w_a.append(v)
             if not w_a:
                 continue
-            engine._clear_layer(state, target, a, u, w_a, depth, palette)
+            engine._clear_layer(state, target, a, u, w_a, palette)
 
 
 class _CountedColors(list):
@@ -311,31 +307,84 @@ class _CountedColors(list):
         super().__setitem__(v, color)
 
 
-def count_clearing_moves(setattr_) -> list[tuple[int, ...]]:
-    """Count each inner layer-clearing call's moves of the vertices it clears.
+@dataclass
+class ClearingCall:
+    """One inner layer-clearing call as `record_clearing_calls` saw it: the
+    w_a vertices it cleared, each one's moves during the call, the layer
+    depth of the elimination that made the call, the earlier-layer vertices
+    that its first and second promotion sweeps moved, in ascending id, and
+    the most later-layer neighbors a vertex of the unpromoted rest has
+    inside the rest (-1 for an empty rest)."""
+
+    w_a: tuple[int, ...]
+    moves: tuple[int, ...]
+    depth: int
+    promoted_to_target: tuple[int, ...]
+    promoted_to_color: tuple[int, ...]
+    inner_mask_later_degree: int
+
+
+def record_clearing_calls(setattr_) -> list[ClearingCall]:
+    """Record the engine's inner layer-clearing calls from outside it.
 
     Installs, through `setattr_` (`monkeypatch.setattr`), a `_WalkState`
-    whose coloring counts its writes and a wrapped `engine._clear_layer`.
-    Returns a list that gets, per clearing call in the order the calls
-    finish (the order of `EliminationTrace.claims`), the moves of each w_a
-    vertex during the call, in w_a's order. Every move of the engine, in
-    `_promote`'s sweep and in `_WalkState.recolor`, writes `colors[v]`, so
-    the count includes moves merged into earlier records or cancelled.
+    whose coloring counts its writes and wrappers of `engine._eliminate`,
+    `engine._clear_layer` and `engine._promote`. Returns a list that gets
+    one `ClearingCall` per call, in the order the calls finish (the order of
+    `EliminationTrace.claims`). Every move of the engine, in `_promote`'s
+    sweep and in `_WalkState.recolor`, writes `colors[v]`, so a move count
+    includes moves merged into earlier records or cancelled.
+
+    Each elimination of a non-empty mask takes `depth_reference` on entry,
+    and raises PaletteTooSmall when its palette has fewer than depth + 2
+    colors, which the paper's depth lemma rules out. The two sweeps made
+    while a clearing call is the innermost one running are that call's.
     """
-    calls = []
-    init, clear_layer = engine._WalkState.__init__, engine._clear_layer
+    calls, depths, frames = [], [], []
+    init, eliminate = engine._WalkState.__init__, engine._eliminate
+    clear_layer, promote = engine._clear_layer, engine._promote
 
     def counted_init(self, g, ord_, start, trace):
         init(self, g, ord_, start, trace)
         self.colors = _CountedColors(self.colors)
 
-    def counted_clear_layer(state, target, a, u, w_a, depth, palette):
+    def recorded_eliminate(state, target, palette, mask):
+        if not mask:
+            return eliminate(state, target, palette, mask)
+        depth = depth_reference(state, mask, palette)
+        if len(palette) < depth + 2:
+            raise PaletteTooSmall(
+                f"palette of {len(palette)} colors cannot clear a color at layer "
+                f"depth {depth}; at least {depth + 2} colors are needed")
+        depths.append(depth)
+        eliminate(state, target, palette, mask)
+        depths.pop()
+
+    def recorded_clear_layer(state, target, a, u, w_a, palette):
         writes = state.colors.writes
         entry = [writes[v] for v in w_a]
-        clear_layer(state, target, a, u, w_a, depth, palette)
-        calls.append(tuple(writes[v] - m for v, m in zip(w_a, entry)))
+        frames.append([])
+        clear_layer(state, target, a, u, w_a, palette)
+        # A sweep promoted the vertices of its mask it did not return.
+        (first, inner), (second, rest) = frames.pop()
+        calls.append(ClearingCall(
+            w_a=tuple(w_a),
+            moves=tuple(writes[v] - m for v, m in zip(w_a, entry)),
+            depth=depths[-1],
+            promoted_to_target=tuple(sorted(set(first).difference(inner))),
+            promoted_to_color=tuple(sorted(set(second).difference(rest))),
+            inner_mask_later_degree=depth_reference(state, inner, ()) if inner else -1,
+        ))
+
+    def recorded_promote(state, mask, target):
+        left = promote(state, mask, target)
+        if frames:
+            frames[-1].append((mask, left))
+        return left
     setattr_(engine._WalkState, "__init__", counted_init)
-    setattr_(engine, "_clear_layer", counted_clear_layer)
+    setattr_(engine, "_eliminate", recorded_eliminate)
+    setattr_(engine, "_clear_layer", recorded_clear_layer)
+    setattr_(engine, "_promote", recorded_promote)
     return calls
 
 

@@ -172,13 +172,17 @@ def test_criterion_4_elimination_locality():
 
 
 def test_criterion_5_inner_call_contract(monkeypatch):
+    # The paper's depth lemma, from outside the engine: the recorder raises
+    # PaletteTooSmall at any elimination whose palette has fewer than
+    # depth + 2 colors, and every clearing call moves each w_a vertex at
+    # most once and leaves an inner later-layer degree below the depth.
     # Most layer vertices move straight to a color no neighbor holds and
     # reach no clearing call, so the corpus is large enough to check as many
     # calls as 60 trees of up to 15 vertices did before that move: 387. Since
     # the early move runs before every replacement pass, 224 trees make only
     # 371 calls; 234 make 388.
     rng = random.Random(0xACE)
-    moves = families.count_clearing_moves(monkeypatch.setattr)
+    calls = families.record_clearing_calls(monkeypatch.setattr)
     claims = 0
     for _ in range(234):
         g = families.random_tree(rng, rng.randint(2, 60))
@@ -186,12 +190,12 @@ def test_criterion_5_inner_call_contract(monkeypatch):
         beta = families.random_proper_coloring(rng, g, 4)
         trace = EliminationTrace()
         partition = build_degree_partition(g, SpecialISParams(3, HALF))
-        moves.clear()
+        calls.clear()
         recolor_between(g, partition, alpha, beta, 4, trace=trace)
-        assert len(moves) == len(trace.claims)
-        for counts, claim in zip(moves, trace.claims):
-            assert max(counts, default=0) <= 1
-            assert claim.inner_mask_later_degree < max(claim.depth, 1)
+        assert trace.claims == [call.w_a for call in calls]
+        for call in calls:
+            assert max(call.moves, default=0) <= 1
+            assert call.inner_mask_later_degree < max(call.depth, 1)
             claims += 1
     assert claims >= 387
     print(f"\nACCEPTANCE 5 inner call contract: PASS ({claims} calls, all <= 1)")

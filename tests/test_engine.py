@@ -136,7 +136,7 @@ class TestEliminateColor:
         p3 = families.path_graph(3)
         ord_ = embedded_ordering(P3_PARTITION)
         c = Coloring((1, 5, 2), 5)
-        calls = families.count_clearing_moves(monkeypatch.setattr)
+        calls = families.record_clearing_calls(monkeypatch.setattr)
         trace = EliminationTrace()
         state = engine._WalkState(p3, ord_, c, trace)
         engine._eliminate(state, 5, frozenset(range(1, 6)), ord_.order)
@@ -144,13 +144,14 @@ class TestEliminateColor:
         assert state.colors.writes == Counter({1: 1})
         assert calls == [] and trace.claims == []
 
-    def test_palette_too_small(self):
-        # The guard runs with the layer-depth scan, on traced calls only;
-        # no public entry can reach it (see `engine._eliminate`).
+    def test_palette_too_small(self, monkeypatch):
+        # The recorder's depth-lemma guard: two colors cannot clear a color
+        # at layer depth 1. No public entry can reach it (see
+        # `engine._eliminate`).
         p3 = families.path_graph(3)
-        with pytest.raises(PaletteTooSmall):
-            eliminate(p3, P3_PARTITION, 2, Coloring((1, 2, 1), 2), 2, {1, 2},
-                      trace=EliminationTrace())
+        families.record_clearing_calls(monkeypatch.setattr)
+        with pytest.raises(PaletteTooSmall, match="at layer depth 1; at least 3 colors"):
+            eliminate(p3, P3_PARTITION, 2, Coloring((1, 2, 1), 2), 2, {1, 2})
 
     def test_locality_on_random_layered_boundaries(self):
         rng = random.Random(414)
@@ -208,15 +209,15 @@ class TestClearLayerColor:
         ord_ = embedded_ordering(p)
         c = Coloring((3, 1, 2, 2), 3)
         trace = EliminationTrace()
-        moves = families.count_clearing_moves(monkeypatch.setattr)
+        calls = families.record_clearing_calls(monkeypatch.setattr)
         seq = eliminate(g, p, 2, c, 3, {1, 2, 3}, trace=trace)
         final = verify_sequence(g, seq)
         assert 3 not in final.colors
-        assert trace.claims, "expected at least one inner clearing call"
-        assert len(moves) == len(trace.claims)
-        for counts, claim in zip(moves, trace.claims):
-            assert max(counts, default=0) <= 1
-            assert claim.inner_mask_later_degree < max(claim.depth, 1)
+        assert calls, "expected at least one inner clearing call"
+        assert trace.claims == [call.w_a for call in calls]
+        for call in calls:
+            assert max(call.moves, default=0) <= 1
+            assert call.inner_mask_later_degree < max(call.depth, 1)
 
 
 class TestReducePalette:
@@ -349,12 +350,13 @@ def corpus_instances():
         yield g, p, alpha, beta, k
 
 
-def walk_corpus():
-    """The traced `recolor_between` walks of `corpus_instances`, each with
-    its trace's claims."""
-    for g, p, alpha, beta, k in corpus_instances():
-        trace = EliminationTrace()
-        yield recolor_between(g, p, alpha, beta, k, trace=trace), trace.claims
+def walk_corpus(calls):
+    """The `recolor_between` walks of `corpus_instances`, each with the
+    clearing calls recorded in `calls`, the list that
+    `families.record_clearing_calls` returned."""
+    for instance in corpus_instances():
+        calls.clear()
+        yield recolor_between(*instance), list(calls)
 
 
 def reduce_corpus():
@@ -372,10 +374,11 @@ def reduce_corpus():
         yield reduce_palette(g, p, c, 2000, p.s + 2)
 
 
-def walk_corpus_digest():
-    """sha256 over `walk_corpus`, covering every step and every claim."""
+def walk_corpus_digest(calls):
+    """sha256 over `walk_corpus(calls)`, covering every step and every
+    clearing call's depth, promoted sets and inner later-layer degree."""
     digest = hashlib.sha256()
-    for seq, claims in walk_corpus():
+    for seq, claims in walk_corpus(calls):
         digest.update(repr(steps_as_pairs(seq)).encode())
         digest.update(repr([(w.depth, w.promoted_to_target, w.promoted_to_color,
                              w.inner_mask_later_degree)
@@ -403,8 +406,9 @@ PINNED_WALK_DIGEST = "70282e26b7f47941518f7ad19c5d5a58e51fb5215c7d243b19017ae1a6
 PINNED_REDUCE_DIGEST = "8d27135a5a84fbfd89d7f3f2476a2063f22c76d69a620ec1cbd3401ba7a706bf"
 
 
-def test_walks_match_the_pinned_digest():
-    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+def test_walks_match_the_pinned_digest(monkeypatch):
+    calls = families.record_clearing_calls(monkeypatch.setattr)
+    assert walk_corpus_digest(calls) == PINNED_WALK_DIGEST
 
 
 def test_reductions_match_the_pinned_digest():
@@ -416,7 +420,8 @@ def test_corpus_walks_stay_under_their_ceilings():
     # `max_per_vertex`) ceilings, so a change to the walks shows its
     # direction here, not only as a digest mismatch. At the pinned digests
     # they read exactly these values.
-    steps, most = corpus_quality(seq for seq, _ in walk_corpus())
+    steps, most = corpus_quality(recolor_between(*instance)
+                                 for instance in corpus_instances())
     assert steps <= 980 and most <= 9, (steps, most)
     steps, most = corpus_quality(reduce_corpus())
     assert steps <= 233 and most <= 3, (steps, most)
@@ -426,7 +431,9 @@ def test_masks_stay_in_embedded_order(monkeypatch):
     # `_eliminate` groups a mask's vertices by layer and finds a round's
     # earlier layers by bisecting the mask, which needs strictly increasing
     # embedded positions along every mask it receives:
-    # from `_reduce`, from `_between` and from its own recursion.
+    # from `_reduce`, from `_between` and from its own recursion. The
+    # recorder goes in first, so `checked` sees the engine's own callers.
+    calls = families.record_clearing_calls(monkeypatch.setattr)
     eliminate = engine._eliminate
     callers = set()
 
@@ -437,32 +444,9 @@ def test_masks_stay_in_embedded_order(monkeypatch):
         callers.add(sys._getframe(1).f_code.co_name)
         return eliminate(state, target, palette, mask)
     monkeypatch.setattr(engine, "_eliminate", checked)
-    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert walk_corpus_digest(calls) == PINNED_WALK_DIGEST
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
     assert callers == {"_reduce", "_between", "_clear_layer"}
-
-
-def test_depth_matches_its_reference():
-    # `_depth` counts in one pass; on seeded graphs, masks, palettes and
-    # colorings it agrees with the first-written predicate in `families`.
-    # With an empty palette `_depth` is the trace's within-mask later-layer
-    # degree.
-    rng = random.Random(1600)
-    for i in range(200):
-        if i % 2:
-            g = families.random_tree(rng, rng.randint(1, 30))
-            p = build_degree_partition(g, SpecialISParams(3, HALF))
-        else:
-            g = families.random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5))
-            p = degree_partition_from_degeneracy(g)
-        ord_ = embedded_ordering(p)
-        k = p.s + rng.randint(2, 4)
-        state = engine._WalkState(g, ord_, families.random_proper_coloring(rng, g, k), None)
-        mask = [v for v in ord_.order if rng.random() < 0.7]
-        palette = frozenset(rng.sample(range(1, k + 1), rng.randint(2, k)))
-        for colors_in_play in (palette, frozenset()):
-            assert engine._depth(state, mask, colors_in_play) == \
-                families.depth_reference(state, mask, colors_in_play)
 
 
 def test_clearing_calls_find_the_new_color_held(monkeypatch):
@@ -472,18 +456,19 @@ def test_clearing_calls_find_the_new_color_held(monkeypatch):
     # w_a vertex has a neighbor on `a` when the call starts, and u | w_a
     # holds a later-layer edge (the structural test
     # `families.later_edge_reference` fails).
+    recorded = families.record_clearing_calls(monkeypatch.setattr)
     clear_layer = engine._clear_layer
     calls = 0
 
-    def checked(state, target, a, u, w_a, depth, palette):
+    def checked(state, target, a, u, w_a, palette):
         nonlocal calls
         colors, adjacency = state.colors, state.adjacency
         assert all(any(colors[x] == a for x in adjacency[v]) for v in w_a), (a, w_a)
         assert families.later_edge_reference(state, [*u, *w_a]), (u, w_a)
         calls += 1
-        clear_layer(state, target, a, u, w_a, depth, palette)
+        clear_layer(state, target, a, u, w_a, palette)
     monkeypatch.setattr(engine, "_clear_layer", checked)
-    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert walk_corpus_digest(recorded) == PINNED_WALK_DIGEST
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
     assert calls > 0
 
@@ -495,23 +480,23 @@ def test_clearing_calls_recolor_only_what_joins_w_a(monkeypatch):
     # moves merged or cancelled included, lies in w_a or in that part. On
     # both pinned corpora and seeded trees, where some calls leave part of
     # u alone.
-    families.count_clearing_moves(monkeypatch.setattr)
+    recorded = families.record_clearing_calls(monkeypatch.setattr)
     clear_layer = engine._clear_layer
     calls = cut = 0
 
-    def checked(state, target, a, u, w_a, depth, palette):
+    def checked(state, target, a, u, w_a, palette):
         nonlocal calls, cut
         joined = families.reach_reference(state, u, w_a)
         assert engine._reach(state, u, w_a) == [v for v in u if v in joined]
         writes = state.colors.writes
         before = dict(writes)
-        clear_layer(state, target, a, u, w_a, depth, palette)
+        clear_layer(state, target, a, u, w_a, palette)
         written = {v for v, count in writes.items() if count != before.get(v, 0)}
         assert written <= joined.union(w_a), sorted(written - joined.union(w_a))
         calls += 1
         cut += len(joined) < len(u)
     monkeypatch.setattr(engine, "_clear_layer", checked)
-    assert walk_corpus_digest() == PINNED_WALK_DIGEST
+    assert walk_corpus_digest(recorded) == PINNED_WALK_DIGEST
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
     rng = random.Random(5151)
     for _ in range(10):
@@ -539,15 +524,17 @@ def grouping_corpus():
         yield g, p, alpha, beta, k
 
 
-def grouping_walks():
-    """The traced walks of `grouping_corpus` with their claims, and each
-    beta reduced to s+2 colors."""
+def grouping_walks(calls):
+    """The walks of `grouping_corpus` with the clearing calls recorded in
+    `calls`, the list that `families.record_clearing_calls` returned, and
+    each beta reduced to s+2 colors."""
     walks = []
     for g, p, alpha, beta, k in grouping_corpus():
-        trace = EliminationTrace()
-        seq = recolor_between(g, p, alpha, beta, k, trace=trace)
+        calls.clear()
+        seq = recolor_between(g, p, alpha, beta, k)
+        claims = list(calls)
         reduced = reduce_palette(g, p, beta, k, p.s + 2)
-        walks.append((seq.vertices, seq.new_colors, trace.claims,
+        walks.append((seq.vertices, seq.new_colors, claims,
                       reduced.vertices, reduced.new_colors))
     return walks
 
@@ -563,6 +550,7 @@ def test_grouped_rounds_match_the_reference(monkeypatch):
     # vertices where one moved early and another went to a clearing call:
     # the rounds that would lose their blocked vertices if a group were read
     # twice.
+    calls = families.record_clearing_calls(monkeypatch.setattr)
     eliminate, clear_layer = engine._eliminate, engine._clear_layer
     cleared = []
     mixed = 0
@@ -580,15 +568,15 @@ def test_grouped_rounds_match_the_reference(monkeypatch):
                      if len(group) > 1 and not sent.isdisjoint(group)
                      and not sent.issuperset(group))
 
-    def watched_clear_layer(state, target, a, u, w_a, depth, palette):
+    def watched_clear_layer(state, target, a, u, w_a, palette):
         cleared[-1].update(w_a)
-        clear_layer(state, target, a, u, w_a, depth, palette)
+        clear_layer(state, target, a, u, w_a, palette)
     monkeypatch.setattr(engine, "_eliminate", watched_eliminate)
     monkeypatch.setattr(engine, "_clear_layer", watched_clear_layer)
-    grouped = grouping_walks()
+    grouped = grouping_walks(calls)
+    monkeypatch.undo()
     monkeypatch.setattr(engine, "_eliminate", families.eliminate_reference)
-    monkeypatch.setattr(engine, "_clear_layer", clear_layer)
-    assert grouping_walks() == grouped
+    assert grouping_walks(families.record_clearing_calls(monkeypatch.setattr)) == grouped
     assert mixed > 0
 
 
@@ -1016,23 +1004,24 @@ class TestRecolorBetween:
         stats = sequence_stats(recolor_between(g, p, alpha, beta, p.s + 2))
         assert stats.total <= 478 and stats.max_per_vertex <= 5, stats
 
-    def test_deep_recursion_actually_promotes(self):
+    def test_deep_recursion_actually_promotes(self, monkeypatch):
         # depth-2 runs must exercise the promote-and-purge machinery, not
         # just the direct base case (12 of the 28 clearing calls here
         # promote)
         rng = random.Random(55)
+        calls = families.record_clearing_calls(monkeypatch.setattr)
         general = 0
         for _ in range(10):
             g = families.random_tree(rng, rng.randint(40, 60))
             alpha = families.random_proper_coloring(rng, g, 4)
             beta = families.random_proper_coloring(rng, g, 4)
-            trace = EliminationTrace()
             p = build_degree_partition(g, SpecialISParams(3, HALF))
-            seq = recolor_between(g, p, alpha, beta, 4, trace=trace)
+            calls.clear()
+            seq = recolor_between(g, p, alpha, beta, 4)
             assert seq.initial == alpha
             verify_sequence(g, seq)
-            general += sum(1 for claim in trace.claims
-                           if claim.promoted_to_target or claim.promoted_to_color)
+            general += sum(1 for call in calls
+                           if call.promoted_to_target or call.promoted_to_color)
         assert general > 0
 
 
@@ -1238,16 +1227,39 @@ class TestStats:
         assert stats.max_per_vertex == 1
 
 
+def _elim_recurrence(s: int, t: int) -> int:
+    # elim(s, t) of `walk_bound`'s docstring, restated recursively.
+    if s <= 0:
+        return 1
+    return t * (s + 1) * (2 + 2 * _elim_recurrence(s - 1, t)) + 1
+
+
+def _walk_recurrence(s: int, t: int) -> int:
+    # walk(s, t) of `walk_bound`'s docstring, restated recursively.
+    if s <= 0:
+        return 1
+    return 2 * _elim_recurrence(s, t) + 2 + _walk_recurrence(s - 1, t)
+
+
 class TestBounds:
     def test_pinned_values(self):
-        assert engine._elim_bound(0, 5) == 1
-        assert engine._elim_bound(1, 2) == 17
-        assert engine._elim_bound(1, 3) == 25
+        assert _elim_recurrence(0, 5) == 1
+        assert _elim_recurrence(1, 2) == 17
+        assert _elim_recurrence(1, 3) == 25
         assert walk_bound(0, 9) == 1
         assert walk_bound(1, 2) == 37
         assert walk_bound(1, 3) == 53
-        assert engine._elim_bound(2, 3) == 9 * (2 + 2 * 25) + 1 == 469
+        assert _elim_recurrence(2, 3) == 9 * (2 + 2 * 25) + 1 == 469
         assert walk_bound(2, 3) == 2 * 469 + 2 + 53 == 993
+
+    def test_loop_matches_the_recurrence(self):
+        # `walk_bound` runs bottom-up, so a deep partition costs no stack:
+        # the recursive form took 0.32 s at s = 990 and raised RecursionError
+        # at s = 1000.
+        for s in range(-1, 41):
+            for t in range(9):
+                assert walk_bound(s, t) == _walk_recurrence(s, t), (s, t)
+        assert walk_bound(5000, 3) > walk_bound(4999, 3)
 
 
 # Every entry point that takes a coloring checks it the same way: a wrong
@@ -1301,35 +1313,13 @@ def test_trace_observes_and_never_steers():
     assert claims
 
 
-def test_only_traced_walks_scan_the_layer_depth(monkeypatch):
-    # `_depth` feeds only the trace's claims and its guard, so untraced
-    # walks and reductions never run it; a traced walk does.
-    depth, scans = engine._depth, []
-
-    def counted(*args):
-        scans.append(args)
-        return depth(*args)
-    monkeypatch.setattr(engine, "_depth", counted)
-    rng = random.Random(4444)
-    for _ in range(20):
-        g = families.random_graph(rng, rng.randint(2, 12), rng.random() * 0.5)
-        p = degree_partition_from_degeneracy(g)
-        k = p.s + 3
-        alpha = families.random_proper_coloring(rng, g, k)
-        beta = families.random_proper_coloring(rng, g, k)
-        recolor_between(g, p, alpha, beta, k)
-        reduce_palette(g, p, alpha, k, p.s + 2)
-    assert not scans
-    assert walk_corpus_digest() == PINNED_WALK_DIGEST
-    assert scans
-
-
 def test_clear_calls_count_every_clearing_call(monkeypatch):
     # The benchmark's `engine.clear_calls` is `len(trace.claims)`: one claim
-    # per `_clear_layer` call, on the theorem route (trees, k = s+2) and on
-    # the degeneracy route with k = s+3, where the reduction clears too.
+    # per `_clear_layer` call, the w_a it cleared, on the theorem route
+    # (trees, k = s+2) and on the degeneracy route with k = s+3, where the
+    # reduction clears too.
     rng = random.Random(4343)
-    calls = families.count_clearing_moves(monkeypatch.setattr)
+    calls = families.record_clearing_calls(monkeypatch.setattr)
     total = 0
     for i in range(40):
         if i % 2:
@@ -1344,7 +1334,7 @@ def test_clear_calls_count_every_clearing_call(monkeypatch):
         trace = EliminationTrace()
         calls.clear()
         recolor_between(g, p, alpha, beta, k, trace=trace)
-        assert len(trace.claims) == len(calls)
+        assert trace.claims == [call.w_a for call in calls]
         total += len(calls)
     assert total
 
