@@ -8,26 +8,32 @@ neighbors cannot exist, layers being independent sets).
 
 Recursion never materializes subgraphs. Each recursive call receives a
 vertex mask, already cut to the layers it may touch, and recolors masked
-vertices only; an unmasked vertex in those layers either holds a color
-outside the call's palette or has no neighbor in the mask, so it can never
+vertices only. The mask invariant: every masked vertex holds a color of the
+call's palette, and an unmasked vertex in the call's layers either holds a
+color outside the palette or has no neighbor in the mask, so it can never
 block a recoloring of a masked vertex to a palette color. A layer-clearing
 call (`_clear_layer`) masks only the part of the earlier layers joined to
-the vertices it clears, which is where the second case comes from. The code
-does not *rely* on that invariant for safety: the two public
-walk producers, `reduce_palette` and `recolor_between` (which
-`recolor_theorem_pipeline` wraps), replay their walk from its own start in
-that start's palette with `verify_sequence` and check its promised end state
-before returning, so a fault surfaces as a SequenceViolation, also under
-`python -O`, rather than as an invalid walk.
+the vertices it clears, which is where the second case comes from, and it
+finds that part by the invariant alone: a search from the cleared vertices
+through earlier-layer vertices on palette colors (`_reach`) reaches exactly
+the masked ones joined to them. A fault in the invariant would pick the
+wrong vertices, but it cannot pass unseen: the two public walk producers,
+`reduce_palette` and `recolor_between` (which `recolor_theorem_pipeline`
+wraps), replay their walk from its own start in that start's palette with
+`verify_sequence` and check its promised end state before returning, so a
+fault surfaces as a SequenceViolation, also under `python -O`, rather than
+as an invalid walk.
 
-Masks are lists or slices in embedded order, never tuples built from
-generators (see `_eliminate`), and palettes hold the colors in play, so a
-call costs what it owns, not the graph's size or the largest color value.
-An elimination groups its mask's vertices on the target by layer in one
-pass, and each clearing call gets the earlier layers as a prefix of the
-mask found by bisecting, so masks must stay in embedded order: `_promote`
-returns the vertices it leaves in mask order, and that list is the next
-mask.
+Masks are lists in embedded order (or the ordering itself), never tuples
+built from generators: `tuple(<generator>)` allocates at a guessed size and
+resizes, so each small mask freed parks a block in CPython's per-size tuple
+free lists (2000 a size), which only a full collection empties and which
+pin allocator arenas meanwhile. Palettes hold the colors in play, so a call
+costs what it owns, not the graph's size or the largest color value. An
+elimination groups its mask's vertices on the target by layer in one pass,
+so masks must stay in embedded order: `_promote` returns the vertices it
+leaves in mask order, and that list is the next mask, and `_reach` returns
+its vertices in embedded order.
 
 A walk stays flat from construction to every replay: each side records
 flat int lists, a record being a vertex and the color it left (and, for
@@ -50,7 +56,6 @@ the rule, so no further pass would shorten it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -255,10 +260,11 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
     groups them by layer, lowest first: each group is its round's vertices.
     They are still on `target` when the round starts, and no other vertex
     of the layer is, because the rounds below h recolor only layers up to
-    their own and leave layer h as it was on entry. Only a clearing call
-    cuts the mask: it gets the round's earlier layers, a prefix found by
-    bisecting on `layer_of`. A round whose vertices all move early costs
-    one pass over its group.
+    their own and leave layer h as it was on entry. A clearing call gets
+    the round's layer h, not a cut of the mask, and finds the part of the
+    earlier layers it recolors itself (`_reach`), so a round pays for the
+    earlier layers only when it makes one. A round whose vertices all move
+    early costs one pass over its group.
 
     Early move: each replacement pass opens with a pass over the vertices
     the one before it kept (the group, for the first), skipping those an
@@ -327,41 +333,47 @@ def _eliminate(state: _WalkState, target: int, palette: frozenset[int],
                     w_a.append(v)
             if not w_a:
                 continue
-            # Masks are lists or slices, never tuple(<generator>): that
-            # allocates at a guessed size and resizes, so each small mask
-            # freed parks a block in CPython's per-size tuple free lists (2000
-            # a size), which only a full collection empties and which pin
-            # allocator arenas meanwhile.
-            u = mask[:bisect_left(mask, h, key=layer_of.__getitem__)]
-            _clear_layer(state, target, a, u, w_a, palette)
+            _clear_layer(state, target, a, h, w_a, palette)
 
 
-def _reach(state: _WalkState, u: Sequence[int], w_a: list[int]) -> list[int]:
-    # The vertices of u joined to some w_a vertex by a path inside u, in u's
-    # order: the part of u that `_clear_layer` recolors.
-    adjacency = state.adjacency
-    unreached = set(u)
+def _reach(state: _WalkState, h: int, w_a: list[int],
+           palette: frozenset[int]) -> list[int]:
+    # u': the vertices below layer h on a palette color joined to some w_a
+    # vertex by a path of such vertices, in embedded order (ids ascending,
+    # then stably by layer). By the mask invariant these are the masked
+    # vertices of the earlier layers that `_clear_layer` recolors.
+    adjacency, layer_of, colors = state.adjacency, state.layer_of, state.colors
+    reached = set()
     stack = list(w_a)
     while stack:
         for x in adjacency[stack.pop()]:
-            if x in unreached:
-                unreached.remove(x)
+            if layer_of[x] < h and x not in reached and colors[x] in palette:
+                reached.add(x)
                 stack.append(x)
-    return [v for v in u if v not in unreached]
+    return sorted(sorted(reached), key=layer_of.__getitem__)
 
 
-def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
+def _clear_layer(state: _WalkState, target: int, a: int, h: int,
                  w_a: list[int], palette: frozenset[int]) -> None:
-    """Move the w_a vertices from `target` to `a`, recoloring only w_a and
-    u', the vertices of u joined to some w_a vertex by a path inside u.
+    """Move the w_a vertices, all of layer h, from `target` to `a`,
+    recoloring only w_a and u', the vertices below layer h on a palette
+    color joined to some w_a vertex by a path of such vertices.
 
-    Cut u to u' (`_reach`, in u's mask order), promote u' toward `target`
+    Find u' (`_reach`, in embedded order), promote u' toward `target`
     (freeing `a`-space below), recursively purge `a` from the unpromoted
     rest, recolor w_a directly, then repeat the first two phases with `a`
     and `target` interchanged so u' ends target-free again. `w_a` is sorted.
     Layer vertices with a palette color that no neighbor holds moved early
     in `_eliminate` and never reach this call, so some neighbor of each w_a
     vertex holds `a` on entry.
+
+    Let u be the masked vertices of the enclosing elimination below layer
+    h. By the mask invariant (module docstring), u' is exactly the part of u
+    joined to w_a by a path inside u: masked vertices hold palette colors,
+    and an unmasked one below h on a palette color has no masked neighbor.
+    The nested eliminations keep the invariant: their masks lie in u', the
+    rest of u' holds `target` or `a`, which their palettes lack, and the rest
+    of u has no neighbor in u'.
 
     This is the paper's promote-and-purge step run on the components of
     G[u] that touch w_a only; the rest of u is left as it is:
@@ -374,7 +386,7 @@ def _clear_layer(state: _WalkState, target: int, a: int, u: Sequence[int],
     - The depth lemma and `walk_bound(s, t)` still hold: both count only
       subsets of what they counted over all of u.
     """
-    u = _reach(state, u, w_a)
+    u = _reach(state, h, w_a, palette)
     inner = _promote(state, u, target)
     _eliminate(state, a, palette - {target}, inner)
     for v in w_a:

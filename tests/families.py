@@ -257,8 +257,8 @@ def reach_reference(state, u, w_a) -> set[int]:
 
 def eliminate_reference(state, target, palette, mask) -> None:
     """`engine._eliminate` as it was before its rounds were grouped: each
-    round bisects a list of the mask's layers for its earlier layers and its
-    own, and filters its layer slice on `target` around every early move.
+    round bisects a list of the mask's layers for its own, and filters its
+    layer slice on `target` around every early move.
     Installed as `engine._eliminate`, it also serves the nested calls of
     `engine._clear_layer`; the walks must come out identical."""
     if not mask:
@@ -270,7 +270,6 @@ def eliminate_reference(state, target, palette, mask) -> None:
     replacements = sorted(palette - {target})
     for h in sorted({layer_of[v] for v in mask if colors[v] == target}):
         start = bisect_left(layers, h)
-        u = mask[:start]
         w = mask[start:bisect_right(layers, h, start)]
         for a in replacements:
             w = [v for v in w if colors[v] == target]
@@ -292,7 +291,7 @@ def eliminate_reference(state, target, palette, mask) -> None:
                     w_a.append(v)
             if not w_a:
                 continue
-            engine._clear_layer(state, target, a, u, w_a, palette)
+            engine._clear_layer(state, target, a, h, w_a, palette)
 
 
 class _CountedColors(list):
@@ -324,14 +323,29 @@ class ClearingCall:
     inner_mask_later_degree: int
 
 
-def record_clearing_calls(setattr_) -> list[ClearingCall]:
+class ClearingCalls(list):
+    """The `ClearingCall`s that `record_clearing_calls` recorded, and
+    `masks`, the masks of the eliminations running, innermost last."""
+
+    def __init__(self):
+        super().__init__()
+        self.masks = []
+
+    def earlier_layers(self, state, h) -> list[int]:
+        """u of a clearing call for layer h made now: the innermost running
+        elimination's masked vertices below layer h, in mask order."""
+        return [v for v in self.masks[-1] if state.layer_of[v] < h]
+
+
+def record_clearing_calls(setattr_) -> ClearingCalls:
     """Record the engine's inner layer-clearing calls from outside it.
 
     Installs, through `setattr_` (`monkeypatch.setattr`), a `_WalkState`
     whose coloring counts its writes and wrappers of `engine._eliminate`,
-    `engine._clear_layer` and `engine._promote`. Returns a list that gets
-    one `ClearingCall` per call, in the order the calls finish (the order of
-    `EliminationTrace.claims`). Every move of the engine, in `_promote`'s
+    `engine._clear_layer` and `engine._promote`. Returns a `ClearingCalls`
+    that gets one `ClearingCall` per call, in the order the calls finish
+    (the order of `EliminationTrace.claims`), and stacks the masks of the
+    eliminations running. Every move of the engine, in `_promote`'s
     sweep and in `_WalkState.recolor`, writes `colors[v]`, so a move count
     includes moves merged into earlier records or cancelled.
 
@@ -340,7 +354,7 @@ def record_clearing_calls(setattr_) -> list[ClearingCall]:
     colors, which the paper's depth lemma rules out. The two sweeps made
     while a clearing call is the innermost one running are that call's.
     """
-    calls, depths, frames = [], [], []
+    calls, depths, frames = ClearingCalls(), [], []
     init, eliminate = engine._WalkState.__init__, engine._eliminate
     clear_layer, promote = engine._clear_layer, engine._promote
 
@@ -357,14 +371,16 @@ def record_clearing_calls(setattr_) -> list[ClearingCall]:
                 f"palette of {len(palette)} colors cannot clear a color at layer "
                 f"depth {depth}; at least {depth + 2} colors are needed")
         depths.append(depth)
+        calls.masks.append(mask)
         eliminate(state, target, palette, mask)
+        calls.masks.pop()
         depths.pop()
 
-    def recorded_clear_layer(state, target, a, u, w_a, palette):
+    def recorded_clear_layer(state, target, a, h, w_a, palette):
         writes = state.colors.writes
         entry = [writes[v] for v in w_a]
         frames.append([])
-        clear_layer(state, target, a, u, w_a, palette)
+        clear_layer(state, target, a, h, w_a, palette)
         # A sweep promoted the vertices of its mask it did not return.
         (first, inner), (second, rest) = frames.pop()
         calls.append(ClearingCall(

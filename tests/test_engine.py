@@ -428,9 +428,8 @@ def test_corpus_walks_stay_under_their_ceilings():
 
 
 def test_masks_stay_in_embedded_order(monkeypatch):
-    # `_eliminate` groups a mask's vertices by layer and finds a round's
-    # earlier layers by bisecting the mask, which needs strictly increasing
-    # embedded positions along every mask it receives:
+    # `_eliminate` groups a mask's vertices by layer, which needs strictly
+    # increasing embedded positions along every mask it receives:
     # from `_reduce`, from `_between` and from its own recursion. The
     # recorder goes in first, so `checked` sees the engine's own callers.
     calls = families.record_clearing_calls(monkeypatch.setattr)
@@ -455,18 +454,20 @@ def test_clearing_calls_find_the_new_color_held(monkeypatch):
     # color, `a` included, is held next to it. On both pinned corpora, every
     # w_a vertex has a neighbor on `a` when the call starts, and u | w_a
     # holds a later-layer edge (the structural test
-    # `families.later_edge_reference` fails).
+    # `families.later_edge_reference` fails), u being the masked vertices
+    # below layer h of the elimination that makes the call.
     recorded = families.record_clearing_calls(monkeypatch.setattr)
     clear_layer = engine._clear_layer
     calls = 0
 
-    def checked(state, target, a, u, w_a, palette):
+    def checked(state, target, a, h, w_a, palette):
         nonlocal calls
         colors, adjacency = state.colors, state.adjacency
+        u = recorded.earlier_layers(state, h)
         assert all(any(colors[x] == a for x in adjacency[v]) for v in w_a), (a, w_a)
         assert families.later_edge_reference(state, [*u, *w_a]), (u, w_a)
         calls += 1
-        clear_layer(state, target, a, u, w_a, palette)
+        clear_layer(state, target, a, h, w_a, palette)
     monkeypatch.setattr(engine, "_clear_layer", checked)
     assert walk_corpus_digest(recorded) == PINNED_WALK_DIGEST
     assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
@@ -475,22 +476,26 @@ def test_clearing_calls_find_the_new_color_held(monkeypatch):
 
 def test_clearing_calls_recolor_only_what_joins_w_a(monkeypatch):
     # A clearing call recolors w_a and the part of u joined to w_a by a path
-    # inside u, nothing else: `_reach` matches the breadth-first reference
-    # in `families`, in u's order, and every vertex written during the call,
-    # moves merged or cancelled included, lies in w_a or in that part. On
-    # both pinned corpora and seeded trees, where some calls leave part of
-    # u alone.
+    # inside u, nothing else, u being the masked vertices below layer h of
+    # the elimination that makes the call. `_reach` never sees u: it
+    # searches the earlier-layer vertices on palette colors. It matches the
+    # breadth-first reference in `families` over u, in u's order, which the
+    # mask invariant promises (engine module docstring), and every vertex
+    # written during the call, moves merged or cancelled included, lies in
+    # w_a or in that part. On both pinned corpora and seeded trees, where
+    # some calls leave part of u alone.
     recorded = families.record_clearing_calls(monkeypatch.setattr)
     clear_layer = engine._clear_layer
     calls = cut = 0
 
-    def checked(state, target, a, u, w_a, palette):
+    def checked(state, target, a, h, w_a, palette):
         nonlocal calls, cut
+        u = recorded.earlier_layers(state, h)
         joined = families.reach_reference(state, u, w_a)
-        assert engine._reach(state, u, w_a) == [v for v in u if v in joined]
+        assert engine._reach(state, h, w_a, palette) == [v for v in u if v in joined]
         writes = state.colors.writes
         before = dict(writes)
-        clear_layer(state, target, a, u, w_a, palette)
+        clear_layer(state, target, a, h, w_a, palette)
         written = {v for v, count in writes.items() if count != before.get(v, 0)}
         assert written <= joined.union(w_a), sorted(written - joined.union(w_a))
         calls += 1
@@ -568,9 +573,9 @@ def test_grouped_rounds_match_the_reference(monkeypatch):
                      if len(group) > 1 and not sent.isdisjoint(group)
                      and not sent.issuperset(group))
 
-    def watched_clear_layer(state, target, a, u, w_a, palette):
+    def watched_clear_layer(state, target, a, h, w_a, palette):
         cleared[-1].update(w_a)
-        clear_layer(state, target, a, u, w_a, palette)
+        clear_layer(state, target, a, h, w_a, palette)
     monkeypatch.setattr(engine, "_eliminate", watched_eliminate)
     monkeypatch.setattr(engine, "_clear_layer", watched_clear_layer)
     grouped = grouping_walks(calls)
@@ -580,47 +585,36 @@ def test_grouped_rounds_match_the_reference(monkeypatch):
     assert mixed > 0
 
 
-def test_rounds_cut_the_mask_only_for_clearing_calls(monkeypatch):
-    # Counting guard, no timing: a round pays for the earlier layers only
-    # when it makes a clearing call, which gets them as a prefix of the mask
-    # cut by `bisect_left`. A round left with a blocked vertex always makes
-    # one: the vertex's later-layer degree is at most the depth, and the
-    # palette has at least depth+2 colors, so some replacement color is free
-    # of its later-layer neighbors. On degeneracy-route graphs every layer is
-    # one vertex and most rounds end at the early move, so the prefix cuts
-    # are at most the clearing calls and the rounds outnumber them many
-    # times over.
-    eliminate, clear_layer, bisect_left = (engine._eliminate, engine._clear_layer,
-                                           engine.bisect_left)
-    rounds = calls = cuts = 0
+def test_clearing_calls_keep_the_mask_invariant(monkeypatch):
+    # `_reach` finds u' from the palette alone, which is sound only by the
+    # mask invariant (engine module docstring). At every clearing call,
+    # every masked vertex of the elimination that makes it holds a palette
+    # color, and no unmasked vertex below layer h on a palette color is
+    # adjacent to u' | w_a. On palette reductions at k = 2,000 with s+5
+    # colors in use and on the grouping corpus, where some calls have
+    # such unmasked vertices elsewhere in the graph.
+    recorded = families.record_clearing_calls(monkeypatch.setattr)
+    clear_layer = engine._clear_layer
+    calls = exposed = 0
 
-    def counted_eliminate(state, target, palette, mask):
-        nonlocal rounds
-        rounds += len({state.layer_of[v] for v in mask if state.colors[v] == target})
-        eliminate(state, target, palette, mask)
-
-    def counted_clear_layer(*args):
-        nonlocal calls
+    def checked(state, target, a, h, w_a, palette):
+        nonlocal calls, exposed
+        colors, layer_of = state.colors, state.layer_of
+        mask = recorded.masks[-1]
+        assert all(colors[v] in palette for v in mask), (mask, palette)
+        masked = set(mask)
+        joined = families.reach_reference(state, recorded.earlier_layers(state, h), w_a)
+        strays = {x for v in joined.union(w_a) for x in state.adjacency[v]
+                  if layer_of[x] < h and x not in masked and colors[x] in palette}
+        assert not strays, (sorted(strays), w_a)
         calls += 1
-        clear_layer(*args)
-
-    def counted_bisect_left(*args, **kwargs):
-        nonlocal cuts
-        cuts += 1
-        return bisect_left(*args, **kwargs)
-    monkeypatch.setattr(engine, "_eliminate", counted_eliminate)
-    monkeypatch.setattr(engine, "_clear_layer", counted_clear_layer)
-    monkeypatch.setattr(engine, "bisect_left", counted_bisect_left)
-    rng = random.Random(4141)
-    for _ in range(20):
-        n = rng.randint(60, 120)
-        g = families.random_graph(rng, n, 4 / n)
-        p = degree_partition_from_degeneracy(g)
-        k = p.s + 2 + rng.randint(0, 2)
-        alpha, beta = (families.random_proper_coloring(rng, g, k) for _ in range(2))
-        recolor_between(g, p, alpha, beta, k)
-    assert 0 < cuts <= calls, (cuts, calls)
-    assert rounds >= 10 * cuts, (rounds, cuts)
+        exposed += any(layer_of[x] < h and x not in masked and colors[x] in palette
+                       for x in range(len(colors)))
+        clear_layer(state, target, a, h, w_a, palette)
+    monkeypatch.setattr(engine, "_clear_layer", checked)
+    assert reduce_corpus_digest() == PINNED_REDUCE_DIGEST
+    grouping_walks(recorded)
+    assert calls > 0 and exposed > 0, (calls, exposed)
 
 
 class TestCompaction:
