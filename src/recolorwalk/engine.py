@@ -210,38 +210,21 @@ def _promote(state: _WalkState, mask: Sequence[int], target: int) -> list[int]:
     # Scan masked vertices from the last position toward the first,
     # recoloring each to `target` whenever no neighbor currently holds it.
     # Returns the masked vertices left off `target`, in mask order: the next
-    # mask of `_between` and the rest `_clear_layer` recurses on. The sweeps
-    # make most of a walk's moves, so they copy `_WalkState.recolor`'s rule
-    # inline: calling it made `recolor_between` 2-5 % slower on the peel-tree
-    # batch of 1000-vertex trees and up to 1.4 % slower on degen-wide.
+    # mask of `_between` and the rest `_clear_layer` recurses on. Each move
+    # is recorded by `_WalkState.recolor`, the one place records are made.
     rest = []
     colors = state.colors
     adjacency = state.adjacency
-    vertices, left, prev, last = state.vertices, state.left, state.prev, state.last
+    recolor = state.recolor
     for v in reversed(mask):
-        old = colors[v]
-        if old == target:
+        if colors[v] == target:
             continue
         for w in adjacency[v]:
             if colors[w] == target:
                 rest.append(v)
                 break
         else:
-            colors[v] = target
-            r = last[v]
-            if r >= 0:
-                for w in adjacency[v]:
-                    if last[w] > r:
-                        break
-                else:
-                    if target == left[r]:
-                        vertices[r] = -1
-                        last[v] = prev[r]
-                    continue
-            last[v] = len(vertices)
-            vertices.append(v)
-            left.append(old)
-            prev.append(r)
+            recolor(v, target)
     rest.reverse()
     return rest
 

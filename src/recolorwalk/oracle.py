@@ -76,41 +76,38 @@ def _proper_codes(g: Graph, k: int) -> Iterator[int]:
             stack.append((v + 1, code + (c - 1) * powers[v], 1))
 
 
-def _expand(g: Graph, k: int, frontier: list[int], marks: bytearray) -> list[int]:
-    """One BFS level: mark every unmarked neighbor of the `frontier` states
-    and return them."""
+def _bfs_levels(g: Graph, k: int, start: int, total: int) -> tuple[int, int]:
+    """Level-by-level BFS from `start`: (states reached, eccentricity). Each
+    level marks every unmarked neighbor of the one before and is the next
+    frontier."""
     n = g.n
     powers = [k ** v for v in range(n)]
     adjacency = g.adjacency
     palette = range(1, k + 1)
-    next_frontier: list[int] = []
-    for code in frontier:
-        colors = _decode(code, n, k)
-        for v in range(n):
-            current = colors[v]
-            # The colors v cannot take: its own and its neighbors'.
-            blocked = {colors[w] for w in adjacency[v]}
-            blocked.add(current)
-            for c in palette:
-                if c in blocked:
-                    continue
-                neighbor = code + (c - current) * powers[v]
-                if not marks[neighbor]:
-                    marks[neighbor] = 1
-                    next_frontier.append(neighbor)
-    return next_frontier
-
-
-def _bfs_levels(g: Graph, k: int, start: int, total: int) -> tuple[int, int]:
-    """Level-by-level BFS from `start`: (states reached, eccentricity)."""
     marks = bytearray(total)
     marks[start] = 1
     frontier = [start]
-    reached = 1
-    eccentricity = 0
-    while frontier := _expand(g, k, frontier, marks):
+    reached = 0
+    eccentricity = -1
+    while frontier:
         reached += len(frontier)
         eccentricity += 1
+        next_frontier: list[int] = []
+        for code in frontier:
+            colors = _decode(code, n, k)
+            for v in range(n):
+                current = colors[v]
+                # The colors v cannot take: its own and its neighbors'.
+                blocked = {colors[w] for w in adjacency[v]}
+                blocked.add(current)
+                for c in palette:
+                    if c in blocked:
+                        continue
+                    neighbor = code + (c - current) * powers[v]
+                    if not marks[neighbor]:
+                        marks[neighbor] = 1
+                        next_frontier.append(neighbor)
+        frontier = next_frontier
     return reached, eccentricity
 
 

@@ -345,9 +345,9 @@ def record_clearing_calls(setattr_) -> ClearingCalls:
     `engine._clear_layer` and `engine._promote`. Returns a `ClearingCalls`
     that gets one `ClearingCall` per call, in the order the calls finish
     (the order of `EliminationTrace.claims`), and stacks the masks of the
-    eliminations running. Every move of the engine, in `_promote`'s
-    sweep and in `_WalkState.recolor`, writes `colors[v]`, so a move count
-    includes moves merged into earlier records or cancelled.
+    eliminations running. Every move of the engine goes through
+    `_WalkState.recolor` and writes `colors[v]`, so a move count includes
+    moves merged into earlier records or cancelled.
 
     Each elimination of a non-empty mask takes `depth_reference` on entry,
     and raises PaletteTooSmall when its palette has fewer than depth + 2

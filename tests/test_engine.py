@@ -408,7 +408,23 @@ PINNED_REDUCE_DIGEST = "8d27135a5a84fbfd89d7f3f2476a2063f22c76d69a620ec1cbd3401b
 
 def test_walks_match_the_pinned_digest(monkeypatch):
     calls = families.record_clearing_calls(monkeypatch.setattr)
+    # `_WalkState.recolor` records every move: each write to a side's
+    # coloring, which the recorder counts, is one of its calls.
+    init, recolor = engine._WalkState.__init__, engine._WalkState.recolor
+    sides, recolors = [], []
+
+    def kept_init(self, *args):
+        init(self, *args)
+        sides.append(self)
+
+    def counted_recolor(self, v, color):
+        recolors.append(v)
+        recolor(self, v, color)
+    monkeypatch.setattr(engine._WalkState, "__init__", kept_init)
+    monkeypatch.setattr(engine._WalkState, "recolor", counted_recolor)
     assert walk_corpus_digest(calls) == PINNED_WALK_DIGEST
+    writes = sum(side.colors.writes.total() for side in sides)
+    assert writes == len(recolors) > 0
 
 
 def test_reductions_match_the_pinned_digest():
@@ -695,8 +711,8 @@ class TestCompaction:
 
     @CANCELLED
     def test_sweeps_agree_on_cancelled_records(self, moves):
-        # One-vertex sweeps make the same moves through `_promote`'s copy
-        # of the rule.
+        # One-vertex sweeps record the same moves: `_promote` records
+        # through `recolor`.
         state, twin = self.side(), self.side()
         for v, c in moves:
             assert engine._promote(state, [v], c) == []
@@ -742,10 +758,10 @@ class TestCompaction:
                 return g, embedded_ordering(p), k, families.random_proper_coloring(rng, g, k)
 
     def test_sweeps_match_the_reference_sweep(self):
-        # `_promote` copies `recolor`'s rule inline: on random sweeps it
-        # keeps the same records, `last` and colors as a sweep that calls
-        # `recolor` for each vertex free to move to the target, and returns
-        # the masked vertices left off the target, in mask order.
+        # On random sweeps `_promote` keeps the same records, `last` and
+        # colors as a reference sweep that calls `recolor` for each vertex
+        # free to move to the target, and returns the masked vertices left
+        # off the target, in mask order.
         rng = random.Random(1300)
         cancels = 0
         for _ in range(40):
