@@ -57,10 +57,9 @@ the rule, so no further pass would shorten it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import eq
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import PaletteTooSmall, SequenceViolation
 from .graphs import Coloring, Graph, check_coloring
@@ -74,14 +73,18 @@ from .layering import (
 )
 
 
-@dataclass(frozen=True)
-class RecoloringStep:
+class RecoloringStep(NamedTuple):
     vertex: int
     new_color: int
 
 
-@dataclass(frozen=True)
-class RecoloringSequence:
+class _SequenceFields(NamedTuple):
+    initial: Coloring
+    vertices: tuple[int, ...]
+    new_colors: tuple[int, ...]
+
+
+class RecoloringSequence(_SequenceFields):
     """A walk in the space of proper colorings, anchored at `initial`.
 
     Step i recolors `vertices[i]` to `new_colors[i]`; the two tuples have
@@ -91,28 +94,24 @@ class RecoloringSequence:
     step, on each access.
     """
 
-    initial: Coloring
-    vertices: tuple[int, ...]
-    new_colors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.new_colors):
-            raise ValueError(f"{len(self.vertices)} vertices for "
-                             f"{len(self.new_colors)} new colors")
+    def __new__(cls, initial: Coloring, vertices: tuple[int, ...], new_colors: tuple[int, ...]):
+        if len(vertices) != len(new_colors):
+            raise ValueError(f"{len(vertices)} vertices for {len(new_colors)} new colors")
+        return super().__new__(cls, initial, vertices, new_colors)
 
     @property
     def steps(self) -> tuple[RecoloringStep, ...]:
         return tuple(map(RecoloringStep, self.vertices, self.new_colors))
 
 
-@dataclass(frozen=True)
-class RecolorStats:
+class RecolorStats(NamedTuple):
     per_vertex: tuple[int, ...]
     total: int
     max_per_vertex: int
 
 
-@dataclass
 class EliminationTrace:
     """What the walk recursion of one `recolor_between(..., trace=)` call
     did: `claims` holds, per inner layer-clearing call in the order the
@@ -121,7 +120,11 @@ class EliminationTrace:
     trace.
     """
 
-    claims: list[tuple[int, ...]] = field(default_factory=list)
+    def __init__(self, claims: list[tuple[int, ...]] | None = None):
+        self.claims = [] if claims is None else claims
+
+    def __eq__(self, other):
+        return isinstance(other, EliminationTrace) and self.claims == other.claims
 
 
 class _WalkState:

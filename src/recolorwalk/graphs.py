@@ -30,10 +30,9 @@ exact mad needs no cut.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import eq, lt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import GraphFormatError, ImproperInput, StateSpaceTooLarge
 
@@ -48,8 +47,7 @@ _BRUTE_LIMIT = 20
 _SLICE_CHARS = 1 << 14
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph with 0-based vertex ids.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``; ``m`` is
@@ -63,8 +61,16 @@ class Graph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     m: int
-    us: tuple[int, ...] = field(compare=False, repr=False)
-    vs: tuple[int, ...] = field(compare=False, repr=False)
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, Graph) else NotImplemented
+
+    __ne__ = object.__ne__  # tuple's own would compare us and vs
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -97,21 +103,25 @@ class Graph:
                     yield u, v
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Total color assignment; every entry lies in ``{1..k}``."""
-
+class _ColoringFields(NamedTuple):
     colors: tuple[int, ...]
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
+
+class Coloring(_ColoringFields):
+    """Total color assignment; every entry lies in ``{1..k}``."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], k: int):
+        if k < 1:
             raise ValueError("palette size must be positive")
         # min and max check the range; the loop runs only to name a vertex.
-        if self.colors and not (1 <= min(self.colors) and max(self.colors) <= self.k):
-            for v, c in enumerate(self.colors):
-                if not 1 <= c <= self.k:
-                    raise ValueError(f"vertex {v} has color {c} outside 1..{self.k}")
+        if colors and not (1 <= min(colors) and max(colors) <= k):
+            for v, c in enumerate(colors):
+                if not 1 <= c <= k:
+                    raise ValueError(f"vertex {v} has color {c} outside 1..{k}")
+        return super().__new__(cls, colors, k)
 
 
 def _graph(n: int, us: list[int], vs: list[int]) -> Graph:
@@ -262,7 +272,7 @@ def parse_coloring(text: str, n: int, k: int) -> Coloring:
 
 
 def serialize_coloring(c: Coloring) -> str:
-    return " ".join(str(x) for x in c.colors) + "\n"
+    return " ".join(map(str, c.colors)) + "\n"
 
 
 def check_coloring(g: Graph, c: Coloring, name: str, k: int) -> None:
@@ -289,7 +299,8 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     is the reverse of the removal order, and the degeneracy is the largest
     degree seen at removal time.
     """
-    degree = [g.degree(v) for v in range(g.n)]
+    adjacency = g.adjacency
+    degree = list(map(len, adjacency))
     alive = [True] * g.n
     heap = sorted((d, v) for v, d in enumerate(degree))
     removal = []
@@ -298,7 +309,7 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
         if alive[v]:
             alive[v] = False
             removal.append(v)
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if alive[w]:
                     degree[w] -= 1
                     heapq.heappush(heap, (degree[w], w))

@@ -13,16 +13,20 @@ by one line of ascending vertex ids per layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import filterfalse
+from typing import NamedTuple
 
 from .errors import SizeGuaranteeViolated
 from .graphs import Graph, degeneracy_ordering
 
 
-@dataclass(frozen=True)
-class SpecialISParams:
+class _SpecialISFields(NamedTuple):
+    d: int
+    epsilon: Fraction
+
+
+class SpecialISParams(_SpecialISFields):
     """Peeling parameters: degree bound d and exact rational slack epsilon.
 
     Guarantees hold whenever the maximum average degree of the graph being
@@ -30,16 +34,15 @@ class SpecialISParams:
     least ceil(epsilon * h / d^2) on an h-vertex residual graph.
     """
 
-    d: int
-    epsilon: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int, epsilon: Fraction):
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        eps = Fraction(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
-        if not 0 < eps < self.d:
+        epsilon = Fraction(epsilon)
+        if not 0 < epsilon < d:
             raise ValueError("epsilon must satisfy 0 < epsilon < d")
+        return super().__new__(cls, d, epsilon)
 
     def threshold(self, h: int) -> int:
         """Guaranteed layer size on an h-vertex residual graph."""
@@ -48,8 +51,7 @@ class SpecialISParams:
         return -(-num // den)
 
 
-@dataclass(frozen=True)
-class DegreePartition:
+class DegreePartition(NamedTuple):
     s: int
     layers: tuple[tuple[int, ...], ...]
 
@@ -58,8 +60,7 @@ class DegreePartition:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
-class EmbeddedOrdering:
+class EmbeddedOrdering(NamedTuple):
     """Layer-respecting vertex ordering, stored first layer first.
 
     Positions never decrease in layer index, and every vertex has at most s
@@ -88,7 +89,7 @@ def build_degree_partition(g: Graph, params: SpecialISParams) -> DegreePartition
     list in ascending id, which a C-level filter rebuilds once per round, so
     peeling costs O(n + m) plus one pass over the residual list per round.
     """
-    adjacency = g.adjacency
+    adjacency, s = g.adjacency, params.d - 1
     residual_degree = list(map(len, adjacency))
     active = list(range(g.n))
     layers = []
@@ -97,7 +98,7 @@ def build_degree_partition(g: Graph, params: SpecialISParams) -> DegreePartition
         layer: list[int] = []
         blocked: set[int] = set()
         for v in active:
-            if residual_degree[v] <= params.d - 1 and v not in blocked:
+            if residual_degree[v] <= s and v not in blocked:
                 layer.append(v)
                 blocked.update(adjacency[v])
         need = params.threshold(len(active))
@@ -108,7 +109,7 @@ def build_degree_partition(g: Graph, params: SpecialISParams) -> DegreePartition
             for w in adjacency[v]:
                 residual_degree[w] -= 1
         active = list(filterfalse(set(layer).__contains__, active))
-    return DegreePartition(s=params.d - 1, layers=tuple(layers))
+    return DegreePartition(s=s, layers=tuple(layers))
 
 
 def partition_round_bound(n: int, params: SpecialISParams) -> int:
@@ -139,31 +140,32 @@ def degree_partition_from_degeneracy(g: Graph) -> DegreePartition:
 
 def validate_partition(g: Graph, p: DegreePartition) -> str | None:
     """None when the partition is valid, else a message naming the first violation."""
+    n, adjacency, s = g.n, g.adjacency, p.s
     seen: dict[int, int] = {}
     for i, layer in enumerate(p.layers):
         if not layer:
             return f"layer {i + 1} is empty"
         for v in layer:
-            if not 0 <= v < g.n:
+            if not 0 <= v < n:
                 return f"layer {i + 1} contains out-of-range vertex {v}"
             if v in seen:
                 return f"vertex {v} appears in layers {seen[v] + 1} and {i + 1}"
             seen[v] = i
-    for v in range(g.n):
+    for v in range(n):
         if v not in seen:
             return f"vertex {v} uncovered"
-    layer_of = [seen[v] for v in range(g.n)]
+    layer_of = [seen[v] for v in range(n)]
     for i, layer in enumerate(p.layers):
         for v in sorted(layer):
             residual_degree = 0
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if layer_of[w] == i:
                     return (f"layer {i + 1} not independent: vertices "
                             f"{min(v, w)} and {max(v, w)} adjacent")
                 if layer_of[w] > i:
                     residual_degree += 1
-            if residual_degree > p.s:
-                return (f"vertex {v} has degree {residual_degree} > s={p.s} "
+            if residual_degree > s:
+                return (f"vertex {v} has degree {residual_degree} > s={s} "
                         f"in the residual graph at layer {i + 1}")
     return None
 

@@ -577,66 +577,74 @@ def test_one_parser_serves_every_call_in_a_process(files, tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: this test process has long since loaded
-# networkx through other tests.
+# networkx through other tests. Each run records which watched modules are
+# new since before `import recolorwalk.cli`, so one that the interpreter's
+# `site` loads is not counted. Exact mad runs last: networkx, where it
+# loads, brings dataclasses with it.
 _IMPORT_GUARD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import recolorwalk.cli as cli
 
-graph, frm, to, seq = sys.argv[1:]
-record = {"import": "networkx" in sys.modules, "runs": []}
+graph, frm, to, seq, report = sys.argv[1:]
+
+def loaded():
+    return sorted({"dataclasses", "hashlib", "networkx"} & set(sys.modules) - before)
+
+record = {"import": loaded(), "runs": []}
 
 def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
-    record["runs"].append([argv[0], code, out.getvalue().strip(), "networkx" in sys.modules])
+    record["runs"].append([argv[0], code, out.getvalue().strip(), loaded()])
 
 run("partition", graph, "-d", "4", "--epsilon", "1/2")
 run("recolor", graph, frm, to, "-k", "5", "--degenerate-fallback", "--out", seq)
 run("verify", graph, frm, seq, "-k", "5")
 run("oracle", graph, "-k", "5", "--distance", frm, to)
 run("mad", graph, "--mode", "brute")
+run("verify", graph, frm, seq, "-k", "5", "--report", report)
 run("mad", graph)
 print(json.dumps(record))
 """
+
+
+def _guarded_runs(graph, frm, to, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, graph, frm, to, str(tmp_path / "seq.txt"),
+         str(tmp_path / "report.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["import"] == []
+    # Before exact mad, only the --report run loads a watched module: hashlib.
+    *cheap, exact = record["runs"]
+    assert [(name, code, loaded) for name, code, _, loaded in cheap] == [
+        (name, 0, []) for name in ("partition", "recolor", "verify", "oracle", "mad")
+    ] + [("verify", 0, ["hashlib"])]
+    assert len(json.loads((tmp_path / "report.json").read_text())["inputs"]["sequence"]) == 64
+    return cheap[4][2], exact
 
 
 def test_networkx_loads_only_where_exact_mad_runs(files, tmp_path):
     # K4 with a pendant vertex: its densest part, the K4, is not the whole graph.
     graph = files("k4_pendant.txt", "5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n")
     frm, to = files("from.txt", "1 2 3 4 1\n"), files("to.txt", "2 3 4 5 1\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, graph, frm, to, str(tmp_path / "seq.txt")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["import"] is False
-    *cheap, (_, code, exact, loaded) = record["runs"]
-    assert [(name, code, loaded) for name, code, _, loaded in cheap] == [
-        (name, 0, False) for name in ("partition", "recolor", "verify", "oracle", "mad")]
-    assert code == 0 and loaded is True
-    assert exact == cheap[-1][2] == "3/1"
+    brute, (_, code, exact, loaded) = _guarded_runs(graph, frm, to, tmp_path)
+    assert code == 0 and "networkx" in loaded
+    assert exact == brute == "3/1"
 
 
 def test_exact_mad_on_a_forest_leaves_networkx_unloaded(files, tmp_path):
     # A path is a forest: exact mad reads its largest tree and makes no cut.
     graph = files("p5.txt", "5 4\n0 1\n1 2\n2 3\n3 4\n")
     frm, to = files("from.txt", "1 2 3 4 1\n"), files("to.txt", "2 3 4 5 1\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, graph, frm, to, str(tmp_path / "seq.txt")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["import"] is False
-    assert [(name, code, loaded) for name, code, _, loaded in record["runs"]] == [
-        (name, 0, False) for name in ("partition", "recolor", "verify", "oracle", "mad", "mad")]
-    assert record["runs"][-1][2] == record["runs"][-2][2] == "8/5"
+    brute, exact = _guarded_runs(graph, frm, to, tmp_path)
+    assert exact == ["mad", 0, brute, ["hashlib"]] and brute == "8/5"
 
 
 def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch):

@@ -31,12 +31,14 @@ def later_layer_degree(g, p, v):
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SpecialISParams(0, HALF)
-        with pytest.raises(ValueError):
-            SpecialISParams(2, Fraction(0))
-        with pytest.raises(ValueError):
-            SpecialISParams(2, Fraction(2))
+        for d, epsilon, message in [
+            (0, HALF, "d must be a positive integer"),
+            (2, Fraction(0), "epsilon must satisfy 0 < epsilon < d"),
+            (2, Fraction(2), "epsilon must satisfy 0 < epsilon < d"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                SpecialISParams(d, epsilon)
+            assert type(info.value) is ValueError and str(info.value) == message
 
     def test_threshold_is_exact_ceiling(self):
         params = SpecialISParams(2, HALF)
