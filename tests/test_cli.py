@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -11,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import recolorwalk.cli as cli
 from recolorwalk import (
@@ -221,10 +224,14 @@ def test_recolor_fallback_needs_degeneracy_plus_two_colors(files, capsys):
                  "--degenerate-fallback"]) == 6
 
 
-def test_recolor_requires_budget_without_fallback(files, capsys):
-    graph = files("p3.txt", P3)
+def test_recolor_requires_budget_without_fallback(files, tmp_path, capsys):
+    # The budget is checked before any input is read, so a graph path that
+    # does not exist still gets the budget's message.
     frm = files("from.txt", "1 2 1\n")
-    assert main(["recolor", graph, frm, frm, "-k", "3"]) == 2
+    for graph in (files("p3.txt", P3), str(tmp_path / "missing.txt")):
+        assert main(["recolor", graph, frm, frm, "-k", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: -d and --epsilon are required without --degenerate-fallback\n")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--stats", "--report"])
@@ -545,11 +552,15 @@ def test_one_parser_serves_every_call_in_a_process(files, tmp_path, capsys):
     graph = files("p3.txt", P3)
     frm, to = files("from.txt", "1 2 1\n"), files("to.txt", "2 1 2\n")
     seq, report = str(tmp_path / "seq.txt"), tmp_path / "report.json"
+    # The calls with an abbreviation and with --out=PATH are read by
+    # argparse, between calls that the table reader takes.
     calls = [
         ["oracle", graph, "-k", "3"],
         ["oracle", graph, "-k", "3", "--count"],
         ["oracle", graph, "-k", "3", "--distance", frm, to],
-        ["recolor", graph, frm, to, "-k", "4", "--degenerate-fallback", "--out", seq],
+        ["recolor", graph, frm, to, "-k", "4", "--deg", "--out", seq],
+        ["verify", graph, frm, seq, "-k", "4"],
+        ["recolor", graph, frm, to, "-k", "4", "--degenerate-fallback", f"--out={seq}"],
         ["recolor", graph, frm, to, "-k", "3", "-d", "2", "--epsilon", "1/2",
          "--out", seq, "--report", str(report)],
         ["verify", graph, frm, seq, "-k", "3"],
@@ -570,10 +581,128 @@ def test_one_parser_serves_every_call_in_a_process(files, tmp_path, capsys):
         cli._build_parser.cache_clear()
         alone.append(run(argv))
     assert alone[0][0] == ("SystemExit", 2)
-    assert [outcome[0] for outcome in alone[1:]] == [0] * 5
+    assert [outcome[0] for outcome in alone[1:]] == [0] * 7
+    tables = cli._build_parser()[1]
+    assert [cli._read_args(argv, tables) is None for argv in calls[1:]] == [
+        False, False, True, False, True, False, False]
     cli._build_parser.cache_clear()
     assert [run(argv) for argv in calls] == alone
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _print_args(args, report):
+    print(sorted(vars(args).items()))
+    return 0
+
+
+@contextlib.contextmanager
+def _parser_with_printing_commands():
+    """`main`'s parser and tables, built with every subcommand replaced by
+    one that prints its arguments and with no report written, so that
+    `main`'s outcome shows only how it read argv."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("mad", "partition", "recolor", "verify", "oracle"):
+            mp.setattr(cli, f"_cmd_{name}", _print_args)
+        mp.setattr(cli, "_write_report", lambda path, report, code: code)
+        cli._build_parser.cache_clear()
+        try:
+            yield cli._build_parser()
+        finally:
+            cli._build_parser.cache_clear()
+
+
+def _outcome(call, capsys):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _read_as_argparse_does(argv, parser, tables, capsys):
+    """The table reader's Namespace for argv, or None where it declines.
+    An accepted argv must read as argparse reads it; and whatever the table
+    reader does, `main` must end as argparse's reading ends: the same exit
+    code, stdout and stderr."""
+    read = cli._read_args(argv, tables)
+    expected = _outcome(lambda: _print_args(parser.parse_args(argv), None), capsys)
+    if read is not None:
+        assert vars(read) == vars(parser.parse_args(argv))
+    assert _outcome(lambda: main(argv), capsys) == expected
+    return read, expected[0]
+
+
+# Values that the table reader takes, and tokens that it leaves to argparse.
+_WORDS = ["g", "3", "0", "12", "1/2", "exact", "brute", "fast", "\u0663", "x y", ""]
+_ODD = ["-1", "--", "-", "-h", "--help", "-k4", "--out=x", "--deg", "--co", "-x", "--epsilon=1"]
+
+
+@st.composite
+def _argvs(draw, tables):
+    """A subcommand, then its positionals and options with their values in
+    any order. Half are fitted, with the right number of positionals, every
+    required option and values its `type` and `choices` take; the other half
+    also miss or add a positional or a required option, take any value and
+    carry odd tokens, so they leave the reader's shapes or fail argparse."""
+    name = draw(st.sampled_from(sorted(tables)))
+    _, positionals, options, required, _ = tables[name]
+    fitted = draw(st.booleans())
+    word = st.sampled_from(_WORDS)
+
+    def value(action):
+        if not fitted:
+            return draw(word)
+        if action.choices is not None:
+            return draw(st.sampled_from(action.choices))
+        return draw(st.sampled_from(["3", "0", "12", "\u0663"]) if action.type else word)
+
+    def option(string):
+        action, count = options[string]
+        return [string, *(value(action) for _ in range(count))]
+
+    extra = 0 if fitted else draw(st.integers(-1, 1))
+    units = [[value(a)] for a in positionals[:len(positionals) + extra]]
+    units += [[draw(word)]] * (extra > 0)
+    if fitted or draw(st.booleans()):
+        units += [option(s) for s in sorted(options) if options[s][0] in required]
+    units += map(option, draw(st.lists(st.sampled_from(sorted(options)), max_size=3)))
+    if not fitted:
+        units += [[t] for t in draw(st.lists(st.sampled_from(_WORDS + _ODD), max_size=2))]
+    return [name, *(t for unit in draw(st.permutations(units)) for t in unit)]
+
+
+# Each call reads capsys out, so nothing carries over between examples.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_table_reader_reads_as_argparse(data, capsys):
+    with _parser_with_printing_commands() as (parser, tables):
+        _read_as_argparse_does(data.draw(_argvs(tables)), parser, tables, capsys)
+
+
+@pytest.mark.parametrize("argv, k, code", [
+    (["recolor", "g", "f", "t", "--deg", "-k", "4"], None, 0),
+    (["recolor", "g", "f", "t", "-k", "4", "--out=x"], None, 0),
+    (["recolor", "g", "f", "t", "-k4"], None, 0),
+    (["recolor", "g", "f", "t", "-k", "-1"], None, 0),
+    (["verify", "-k", "4", "--", "g", "f", "s"], None, 0),
+    (["-h"], None, ("SystemExit", 0)),
+    (["oracle", "-h"], None, ("SystemExit", 0)),
+    (["verify", "g", "f", "s", "-k", "3", "-k", "5"], 5, 0),
+    (["recolor", "--out", "o", "g", "-k", "4", "f", "--degenerate-fallback", "t"], 4, 0),
+    (["verify", "g", "f", "s", "extra", "-k", "3"], None, ("SystemExit", 2)),
+    (["verify", "g", "f", "s"], None, ("SystemExit", 2)),
+    (["oracle", "g", "-k", "3", "--count", "--diameter"], None, ("SystemExit", 2)),
+    (["oracle", "g", "-k", "3"], None, ("SystemExit", 2)),
+    (["recolor", "g", "f", "t", "-k", "\u0663"], 3, 0),
+    (["mad", "g", "--mode", "fast"], None, ("SystemExit", 2)),
+])
+def test_table_reader_pinned_argvs(capsys, argv, k, code):
+    # k is the value the table reader reads, or None where it declines.
+    with _parser_with_printing_commands() as (parser, tables):
+        read, got = _read_as_argparse_does(argv, parser, tables, capsys)
+    assert (read and read.k, got) == (k, code)
 
 
 # Runs in a fresh interpreter: this test process has long since loaded
