@@ -47,7 +47,6 @@ from fractions import Fraction
 from .engine import (
     RecoloringSequence,
     recolor_between,
-    recolor_theorem_pipeline,
     sequence_stats,
     verify_sequence,
 )
@@ -65,6 +64,7 @@ from .graphs import (Coloring, check_coloring, content_lines, int_pair, mad_brut
 from .layering import (
     SpecialISParams,
     build_degree_partition,
+    check_palette,
     degree_partition_from_degeneracy,
     serialize_partition,
 )
@@ -210,8 +210,8 @@ def _cmd_mad(args, report: dict) -> int:
 
 
 def _cmd_partition(args, report: dict) -> int:
-    g = parse_graph(_read_input(args.graph, "graph", report))
     params = SpecialISParams(d=args.d, epsilon=_parse_rational(args.epsilon))
+    g = parse_graph(_read_input(args.graph, "graph", report))
     partition = build_degree_partition(g, params)
     report["outputs"]["s"] = partition.s
     report["outputs"]["t"] = partition.t
@@ -220,21 +220,22 @@ def _cmd_partition(args, report: dict) -> int:
 
 
 def _cmd_recolor(args, report: dict) -> int:
-    # The budget is checked before any input is read: on a large graph the
-    # reading alone takes seconds.
+    # Every argument is checked before any input is read: on a large graph
+    # the reading alone takes seconds. Only the fallback's palette waits for
+    # the graph, whose degeneracy is the partition's depth.
     if not args.degenerate_fallback:
         if args.d is None or args.epsilon is None:
             raise GraphFormatError("-d and --epsilon are required without --degenerate-fallback")
         epsilon = _parse_rational(args.epsilon)
+        check_palette(args.k, args.d - 1)
+        params = SpecialISParams(d=args.d, epsilon=epsilon)
     g = parse_graph(_read_input(args.graph, "graph", report))
     alpha = parse_coloring(_read_input(args.from_path, "from", report), g.n, args.k)
     beta = parse_coloring(_read_input(args.to_path, "to", report), g.n, args.k)
-    if args.degenerate_fallback:
-        partition = degree_partition_from_degeneracy(g)
-        seq = recolor_between(g, partition, alpha, beta, args.k)
-        stats = sequence_stats(seq)
-    else:
-        seq, stats, partition = recolor_theorem_pipeline(g, args.d, epsilon, alpha, beta, args.k)
+    partition = (degree_partition_from_degeneracy(g) if args.degenerate_fallback
+                 else build_degree_partition(g, params))
+    seq = recolor_between(g, partition, alpha, beta, args.k)
+    stats = sequence_stats(seq)
     payload = _stats_payload(stats, partition, g.n)
     if args.out:
         _write_output(args.out, "sequence", _format_steps(seq, g.n))
@@ -264,8 +265,8 @@ def _cmd_verify(args, report: dict) -> int:
 
 
 def _cmd_oracle(args, report: dict) -> int:
-    g = parse_graph(_read_input(args.graph, "graph", report))
     cap = _state_cap()
+    g = parse_graph(_read_input(args.graph, "graph", report))
     if args.count:
         answer = str(count_proper_colorings(g, args.k, cap))
     elif args.diameter:
@@ -285,14 +286,9 @@ def _cmd_oracle(args, report: dict) -> int:
 # Built once per process: in-process callers of `main`, such as the tests and
 # bench/run.py, would otherwise rebuild the whole tree on every request.
 # `parse_args` leaves the parser as it found it, and the `_cmd_*` functions
-# look up what they call as module globals at call time. Beside the parser
-# this builds one reading table per subcommand, from the Actions that the
-# `add_argument` calls below return, so the options are declared once.
-# `_read_args` reads through it the argvs made of a subcommand, exact option
-# strings with their values and positionals, none starting with "-" but the
-# option strings, that pass argparse's checks; argparse stays the reference
-# and reads every other argv, writing all help and error text. The saving is
-# per in-process call of `main` (see the module docstring).
+# look up what they call as module globals at call time. The Actions that
+# the `add_argument` calls below return are collected so that each
+# subcommand's reading table is made from them: every option is declared once.
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     parser = argparse.ArgumentParser(
@@ -375,17 +371,9 @@ def _value(action: argparse.Action, text: str):
 
 def _read_args(argv: list[str], tables: dict[str, tuple]) -> argparse.Namespace | None:
     """The Namespace that argparse reads from `argv`, found through the
-    subcommand's table, or None where the table reader declines and
-    argparse must read `argv`.
-
-    It reads argv[0] as a subcommand, then each token as an exact option
-    string followed by its values, or else as a positional; a token or a
-    value that starts with "-" otherwise is declined. So are a wrong number
-    of positionals, a missing required option, a value that its `type` or
-    `choices` refuses, and an exclusive group with two members given or
-    none when it is required: argparse writes every help, usage and error
-    text. An option given twice keeps its last value, as in argparse.
-    """
+    subcommand's table, or None where the table reader declines (the module
+    docstring states what it reads). An option given twice keeps its last
+    value, as in argparse."""
     table = tables.get(argv[0]) if argv else None
     if table is None:
         return None

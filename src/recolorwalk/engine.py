@@ -61,13 +61,14 @@ from itertools import groupby
 from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import PaletteTooSmall, SequenceViolation
+from .errors import SequenceViolation
 from .graphs import Coloring, Graph, check_coloring
 from .layering import (
     DegreePartition,
     EmbeddedOrdering,
     SpecialISParams,
     build_degree_partition,
+    check_palette,
     embedded_ordering,
     validate_partition,
 )
@@ -444,9 +445,7 @@ def reduce_palette(g: Graph, p: DegreePartition, c: Coloring, k: int,
     walk recursion wants.
     """
     _checked_inputs(g, p, {"input coloring": c}, k)
-    if target_size < p.s + 2:
-        raise PaletteTooSmall(
-            f"target palette {target_size} below the required {p.s + 2}")
+    check_palette(target_size, p.s)
     state = _WalkState(g, embedded_ordering(p), c, None)
     _reduce(state, target_size)
     return _checked_walk(g, state.walk(c),
@@ -476,9 +475,7 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     walk.
     """
     _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
-    if k < p.s + 2:
-        raise PaletteTooSmall(
-            f"k = {k} but the partition needs at least {p.s + 2} colors")
+    check_palette(k, p.s)
     if alpha.colors == beta.colors:
         return RecoloringSequence(alpha, (), ())
     ord_ = embedded_ordering(p)
@@ -501,10 +498,10 @@ def recolor_theorem_pipeline(
     g: Graph, d: int, epsilon, alpha: Coloring, beta: Coloring, k: int,
 ) -> tuple[RecoloringSequence, RecolorStats, DegreePartition]:
     """End-to-end walk construction for graphs of maximum average degree
-    at most d - epsilon: build the (d-1)-depth partition, then walk.
+    at most d - epsilon: build the (d-1)-depth partition, then walk. The
+    palette is checked before the partition is built.
     """
-    if k < d + 1:
-        raise PaletteTooSmall(f"k = {k} but at least d + 1 = {d + 1} colors are needed")
+    check_palette(k, d - 1)
     params = SpecialISParams(d=d, epsilon=epsilon)
     partition = build_degree_partition(g, params)
     seq = recolor_between(g, partition, alpha, beta, k)

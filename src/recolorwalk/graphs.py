@@ -257,6 +257,7 @@ def parse_coloring(text: str, n: int, k: int) -> Coloring:
         return Coloring(tuple(map(int, fields)), k)
     except ValueError:
         pass  # converted and range-checked in C; name the first bad vertex
+    Coloring((), k)  # k < 1 raises here, before the loop blames a vertex
     colors = []
     for v, token in enumerate(fields):
         try:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import filterfalse
 from typing import NamedTuple
 
-from .errors import SizeGuaranteeViolated
+from .errors import PaletteTooSmall, SizeGuaranteeViolated
 from .graphs import Graph, degeneracy_ordering
 
 
@@ -141,20 +141,18 @@ def degree_partition_from_degeneracy(g: Graph) -> DegreePartition:
 def validate_partition(g: Graph, p: DegreePartition) -> str | None:
     """None when the partition is valid, else a message naming the first violation."""
     n, adjacency, s = g.n, g.adjacency, p.s
-    seen: dict[int, int] = {}
+    layer_of = [-1] * n  # -1 until the vertex is placed
     for i, layer in enumerate(p.layers):
         if not layer:
             return f"layer {i + 1} is empty"
         for v in layer:
             if not 0 <= v < n:
                 return f"layer {i + 1} contains out-of-range vertex {v}"
-            if v in seen:
-                return f"vertex {v} appears in layers {seen[v] + 1} and {i + 1}"
-            seen[v] = i
-    for v in range(n):
-        if v not in seen:
-            return f"vertex {v} uncovered"
-    layer_of = [seen[v] for v in range(n)]
+            if layer_of[v] >= 0:
+                return f"vertex {v} appears in layers {layer_of[v] + 1} and {i + 1}"
+            layer_of[v] = i
+    if -1 in layer_of:
+        return f"vertex {layer_of.index(-1)} uncovered"
     for i, layer in enumerate(p.layers):
         for v in sorted(layer):
             residual_degree = 0
@@ -168,6 +166,14 @@ def validate_partition(g: Graph, p: DegreePartition) -> str | None:
                 return (f"vertex {v} has degree {residual_degree} > s={s} "
                         f"in the residual graph at layer {i + 1}")
     return None
+
+
+def check_palette(size: int, s: int) -> None:
+    """The palette rule: a walk over a partition of depth s needs a palette
+    of at least s + 2 colors; PaletteTooSmall otherwise."""
+    if size < s + 2:
+        raise PaletteTooSmall(
+            f"palette of {size} colors, but a partition of depth {s} needs at least {s + 2}")
 
 
 def embedded_ordering(p: DegreePartition) -> EmbeddedOrdering:

@@ -234,6 +234,46 @@ def test_recolor_requires_budget_without_fallback(files, tmp_path, capsys):
             "error: -d and --epsilon are required without --degenerate-fallback\n")
 
 
+PALETTE_2_OF_3 = "palette of 2 colors, but a partition of depth 1 needs at least 3"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["recolor", "-k", "3", "-d", "0", "--epsilon", "1/2"], 2, "d must be a positive integer"),
+    (["recolor", "-k", "3", "-d", "2", "--epsilon", "5/2"], 2,
+     "epsilon must satisfy 0 < epsilon < d"),
+    (["recolor", "-k", "2", "-d", "2", "--epsilon", "1/2"], 6, PALETTE_2_OF_3),
+    # The palette is checked before the range of epsilon, after its syntax.
+    (["recolor", "-k", "2", "-d", "2", "--epsilon", "5/2"], 6, PALETTE_2_OF_3),
+    (["recolor", "-k", "2", "-d", "2", "--epsilon", "x"], 2,
+     "expected an exact rational like 1/2, got 'x'"),
+    (["partition", "-d", "2", "--epsilon", "x"], 2,
+     "expected an exact rational like 1/2, got 'x'"),
+    (["partition", "-d", "0", "--epsilon", "1/2"], 2, "d must be a positive integer"),
+], ids=["recolor-d", "recolor-epsilon-range", "recolor-palette",
+        "recolor-palette-before-epsilon-range", "recolor-epsilon-syntax",
+        "partition-epsilon-syntax", "partition-d"])
+def test_arguments_are_checked_before_any_input_is_read(tmp_path, capsys, argv, code, message):
+    # Every input path is missing, so reading any of them would fail with
+    # "cannot read graph file": the argument's own error comes first.
+    missing = str(tmp_path / "missing.txt")
+    command, *flags = argv
+    inputs = [missing] * (3 if command == "recolor" else 1)
+    assert main([command, *inputs, *flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["recolor", "g", "c", "c", "-k", "0", "--degenerate-fallback"],
+    ["verify", "g", "c", "s", "-k", "0"],
+    ["oracle", "g", "-k", "0", "--distance", "c", "c"],
+], ids=["recolor", "verify", "oracle"])
+def test_empty_palette_is_named_not_a_vertex(files, capsys, argv):
+    paths = {"g": files("p3.txt", P3), "c": files("c.txt", "1 2 1\n"),
+             "s": files("s.txt", "0 3\n")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: palette size must be positive\n"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--stats", "--report"])
 def test_recolor_unwritable_output(files, tmp_path, capsys, flag):
     path = tmp_path / "missing" / "out.txt"
@@ -424,12 +464,16 @@ def test_oracle_cap_from_environment(files, capsys, monkeypatch):
     assert main(["oracle", files("p3.txt", P3), "-k", "3", "--count"]) == 3
 
 
-def test_oracle_cap_must_be_an_integer(files, capsys, monkeypatch):
+def test_oracle_cap_must_be_an_integer(files, tmp_path, capsys, monkeypatch):
+    # The cap is read before any input, so a graph path that does not exist
+    # still gets the cap's message.
     monkeypatch.setenv("RECOLOR_STATE_CAP", "1e6")
-    assert main(["oracle", files("p3.txt", P3), "-k", "3", "--count"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: RECOLOR_STATE_CAP is not an integer: '1e6'"]
+    for graph in (files("p3.txt", P3), str(tmp_path / "missing.txt")):
+        assert main(["oracle", graph, "-k", "3", "--count"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: RECOLOR_STATE_CAP is not an integer: '1e6'"]
 
 
 def test_oracle_diameter_cap_counts_colorings(files, capsys, monkeypatch):
@@ -799,3 +843,24 @@ def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch):
         runs.append((argv[1], shown))
     assert runs == [("recolor", ["4"]), ("verify", ["OK final=2 1 2"]),
                     ("oracle", ["4"]), ("mad", ["4/3"])]
+
+
+def test_readme_cli_synopsis_names_every_option(capsys):
+    # The README's CLI synopsis names, for each subcommand, exactly the
+    # option strings that `_build_parser` declares, as argparse's usage
+    # line shows them (less -h).
+    option = re.compile(r"(?<![\w-])--?[a-z][-a-z]*")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"\n## CLI\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    named = {}
+    for line in synopsis.replace("\\\n", " ").splitlines():
+        program, command, rest = line.split(maxsplit=2)
+        assert program == "recolorwalk", line
+        named[command] = set(option.findall(rest))
+    declared = {}
+    for command in cli._build_parser()[1]:
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        declared[command] = set(option.findall(usage.split(command, 1)[1])) - {"-h"}
+    assert named == declared

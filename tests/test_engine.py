@@ -1102,6 +1102,22 @@ class TestPipeline:
             recolor_theorem_pipeline(k4, 4, HALF, c, c, 4)
 
 
+    def test_every_producer_states_the_palette_rule_alike(self):
+        # One rule, one message: a palette over a partition of depth s needs
+        # s + 2 colors, whichever producer checks it (the pipeline's depth
+        # is d - 1).
+        p3 = families.path_graph(3)
+        alpha, beta = Coloring((1, 2, 1), 2), Coloring((2, 1, 2), 2)
+        calls = (lambda: recolor_between(p3, P3_PARTITION, alpha, beta, 2),
+                 lambda: reduce_palette(p3, P3_PARTITION, Coloring((1, 2, 1), 3), 3, 2),
+                 lambda: recolor_theorem_pipeline(p3, 2, HALF, alpha, beta, 2))
+        for call in calls:
+            with pytest.raises(PaletteTooSmall) as info:
+                call()
+            assert str(info.value) == (
+                "palette of 2 colors, but a partition of depth 1 needs at least 3")
+
+
 class TestVerifySequence:
     def test_empty_returns_start(self):
         p3 = families.path_graph(3)

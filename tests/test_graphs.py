@@ -144,9 +144,12 @@ def reference_parse_coloring(text: str, n: int, k: int) -> Coloring:
     # The per-vertex reader `parse_coloring` replaced, kept as the reference
     # its results and errors must match; a bad token, or an out-of-range
     # color, past 40 characters is echoed as its first 40 and its length.
+    # A palette with no colors is reported as such, before any vertex.
     fields = text.split()
     if len(fields) != n:
         raise GraphFormatError(f"expected {n} colors, found {len(fields)}")
+    if k < 1:
+        raise ValueError("palette size must be positive")
     colors = []
     for v, field in enumerate(fields):
         try:
