@@ -189,6 +189,12 @@ def _state_cap() -> int:
         raise GraphFormatError(f"RECOLOR_STATE_CAP is not an integer: {raw!r}") from None
 
 
+def _check_k(k: int) -> None:
+    # The rule that a palette has a color, as `Coloring` states it, checked
+    # on an empty coloring before any input is read.
+    Coloring((), k)
+
+
 def _stats_payload(stats, partition, n: int) -> dict:
     return {
         "total": stats.total,
@@ -221,9 +227,11 @@ def _cmd_partition(args, report: dict) -> int:
 
 def _cmd_recolor(args, report: dict) -> int:
     # Every argument is checked before any input is read: on a large graph
-    # the reading alone takes seconds. Only the fallback's palette waits for
-    # the graph, whose degeneracy is the partition's depth.
-    if not args.degenerate_fallback:
+    # the reading alone takes seconds. Only the fallback's palette rule
+    # waits for the graph, whose degeneracy is the partition's depth.
+    if args.degenerate_fallback:
+        _check_k(args.k)
+    else:
         if args.d is None or args.epsilon is None:
             raise GraphFormatError("-d and --epsilon are required without --degenerate-fallback")
         epsilon = _parse_rational(args.epsilon)
@@ -254,6 +262,7 @@ def _cmd_recolor(args, report: dict) -> int:
 
 
 def _cmd_verify(args, report: dict) -> int:
+    _check_k(args.k)
     g = parse_graph(_read_input(args.graph, "graph", report))
     alpha = parse_coloring(_read_input(args.from_path, "from", report), g.n, args.k)
     check_coloring(g, alpha, "from", args.k)
@@ -266,6 +275,7 @@ def _cmd_verify(args, report: dict) -> int:
 
 def _cmd_oracle(args, report: dict) -> int:
     cap = _state_cap()
+    _check_k(args.k)
     g = parse_graph(_read_input(args.graph, "graph", report))
     if args.count:
         answer = str(count_proper_colorings(g, args.k, cap))

@@ -44,14 +44,15 @@ new colors are read back from the records when the walk is assembled.
 object is built unless a caller asks for `RecoloringSequence.steps`.
 
 Records are compacted as they are made (`_WalkState`): a vertex's move
-merges into its latest live record unless a neighbor's latest live record
-is later, and a move back to the color that record left drops it, after
-which the vertex's earlier live record takes its next move. The
-construction, its colorings and `walk_bound` are unchanged; only what the
-walk records is shorter. `recolor_between` replays the beta side's records
-reversed, each restoring the color it left, into the alpha side itself, so
-the same rule merges across the seam; a walk so recorded is a fixpoint of
-the rule, so no further pass would shorten it.
+merges into its latest live record unless a neighbor held the move's new
+color at some time since that record, and a move back to the color that
+record left drops it, after which the vertex's earlier live record takes
+its next move. The construction, its colorings and `walk_bound` are
+unchanged; only what the walk records is shorter. `recolor_between`
+replays the beta side's records reversed, each restoring the color it
+left, into the alpha side itself, so the same rule merges across the seam.
+One pass finds no merge that a later merge makes possible, so a further
+pass over an emitted walk can shorten it again.
 """
 
 from __future__ import annotations
@@ -140,23 +141,24 @@ class _WalkState:
     Records are compacted as they are made, against live records only.
     `last[v]` is v's latest live record (-1 for none) and `prev[i]` the live
     record of the same vertex that record i succeeded (-1 for none). A move
-    of v merges into r = `last[v]` unless some neighbor's latest live record
-    is later than r; otherwise it appends a record and touches no neighbor.
-    A merge back to `left[r]` cancels r (vertex -1, dropped from the walk)
-    and sets `last[v] = prev[r]`, so v's earlier record can take its next
-    move; any other merge only changes `colors`. In the walk of live records:
-    - A merge into r is proper. No neighbor has a live record after r, so
-      from r on every neighbor holds the color it holds now, and the current
-      coloring is proper. A cancel leaves v on `left[r]` beside those same
-      colors.
+    of v to `color` merges into r = `last[v]` unless some neighbor w has a
+    live record q > r with `left[q] == color`; otherwise it appends a record
+    and touches no neighbor. The search walks w's chain from `last[w]` down
+    `prev` while q > r; the chain holds live records only, because a record
+    is cancelled only while it is its vertex's latest. A merge back to
+    `left[r]` cancels r (vertex -1, dropped from the walk) and sets
+    `last[v] = prev[r]`, so v's earlier record can take its next move; any
+    other merge only changes `colors`. In the walk of live records:
+    - A merge into r is proper. From r on, a neighbor w holds the colors its
+      live records after r left, then its current color: none is `color`,
+      the current one because the move is proper now. So v can take `color`
+      at r and keep it, and every move of w after r still finds v off its
+      new color. A cancel is the same with `color == left[r]`: v keeps
+      `left[r]` through r, which drops out.
     - A record's new color is still the color its vertex's next live record
       left, or the vertex's current color: a merge changes only the latest
       record's new color, and a cancel puts v back on `left[r]`, the new
       color of `prev[r]`.
-    - Between two live records of a vertex some neighbor's live record
-      stays: it blocked the merge when the later record began, and it cannot
-      be cancelled while that later record lives. So re-recording an emitted
-      walk returns it unchanged.
     - A merge or cancel adds no record, so a vertex's emitted count is at
       most the construction's move count and `walk_bound` still holds.
     """
@@ -180,13 +182,17 @@ class _WalkState:
         last = self.last
         r = last[v]
         if r >= 0:
+            left, prev = self.left, self.prev
             for w in self.adjacency[v]:
-                if last[w] > r:
+                q = last[w]
+                while q > r and left[q] != color:
+                    q = prev[q]
+                if q > r:
                     break
             else:
-                if color == self.left[r]:
+                if color == left[r]:
                     self.vertices[r] = -1
-                    last[v] = self.prev[r]
+                    last[v] = prev[r]
                 self.colors[v] = color
                 return
         last[v] = len(self.vertices)
@@ -463,16 +469,13 @@ def recolor_between(g: Graph, p: DegreePartition, alpha: Coloring,
     with one color fewer). Each side records its moves compacted (see
     `_WalkState`). The beta side's records are then replayed reversed, each
     restoring the color it left, into the alpha side, whose merge rule also
-    merges moves across the seam. This is the walk a fresh recording of the
-    alpha side's walk followed by that replay would give: the alpha side's
-    live records are in the order of its walk, that walk is a fixpoint of
-    the rule, and every `last` and `prev` entry of a live record points at
-    a live record, so every merge and cancel goes the same way. So the
-    emitted walk is not the construction's moves verbatim: a vertex's
-    consecutive moves with no kept neighbor step between them become one
-    step, or none when they return it to its earlier color, and the emitted
-    walk is unchanged when recorded again. Equal endpoints give the empty
-    walk.
+    merges moves across the seam. Each replayed move is proper, as the beta
+    side's walk reversed runs from the common coloring to beta, so the
+    alpha side records it under the same rule and proof as its own moves.
+    So the emitted walk is not the construction's moves verbatim: a
+    vertex's consecutive moves become one step, or none when they return it
+    to its earlier color, unless a neighbor held the later move's new color
+    between them. Equal endpoints give the empty walk.
     """
     _checked_inputs(g, p, {"alpha": alpha, "beta": beta}, k)
     check_palette(k, p.s)

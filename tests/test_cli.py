@@ -263,14 +263,18 @@ def test_arguments_are_checked_before_any_input_is_read(tmp_path, capsys, argv, 
 
 
 @pytest.mark.parametrize("argv", [
-    ["recolor", "g", "c", "c", "-k", "0", "--degenerate-fallback"],
-    ["verify", "g", "c", "s", "-k", "0"],
-    ["oracle", "g", "-k", "0", "--distance", "c", "c"],
-], ids=["recolor", "verify", "oracle"])
-def test_empty_palette_is_named_not_a_vertex(files, capsys, argv):
-    paths = {"g": files("p3.txt", P3), "c": files("c.txt", "1 2 1\n"),
-             "s": files("s.txt", "0 3\n")}
-    assert main([paths.get(a, a) for a in argv]) == 2
+    ["recolor", "g", "g", "g", "-k", "0", "--degenerate-fallback"],
+    ["verify", "g", "g", "g", "-k", "0"],
+    ["oracle", "g", "-k", "0", "--distance", "g", "g"],
+    ["oracle", "g", "-k", "0", "--count"],
+    ["oracle", "g", "-k", "-1", "--diameter"],
+], ids=["recolor", "verify", "oracle", "oracle-count", "oracle-diameter"])
+def test_empty_palette_is_named_not_a_vertex(tmp_path, capsys, argv):
+    # Every input path is missing, so reading any of them would fail with
+    # "cannot read graph file": a -k below 1 is reported first, in the
+    # words `Coloring` uses, on every command that takes -k.
+    missing = str(tmp_path / "missing.txt")
+    assert main([missing if a == "g" else a for a in argv]) == 2
     assert capsys.readouterr().err == "error: palette size must be positive\n"
 
 

@@ -99,18 +99,18 @@ def test_fault_in_the_last_of_several_slices():
 
 
 def test_parse_peak_bytes_per_step():
-    # The seeded 10,000-vertex tree's 14,146-step walk, read back from its
+    # The seeded 10,000-vertex tree's 12,403-step walk, read back from its
     # sequence file: the parse peaks at most at 80 traced bytes per step
-    # (68.1 here). The 3000-vertex tree of the same seed walks only 4,216
+    # (72.3 here). The 3000-vertex tree of the same seed walks only 3,595
     # steps, so short a text that the parse's fixed overhead dominates
-    # (109 B/step).
+    # (125 B/step).
     rng = random.Random(1000)
     g = families.random_tree(rng, 10_000)
     p = build_degree_partition(g, SpecialISParams(3, Fraction(1, 2)))
     alpha = families.random_proper_coloring(rng, g, 4)
     beta = families.random_proper_coloring(rng, g, 4)
     seq = recolor_between(g, p, alpha, beta, 4)
-    assert len(seq.vertices) == 14_146
+    assert len(seq.vertices) == 12_403
     text = "".join(f"{v} {c}\n" for v, c in zip(seq.vertices, seq.new_colors))
     gc.collect()
     tracemalloc.start()
